@@ -53,6 +53,32 @@ class _UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _probability(text: str) -> float:
+    """argparse type: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -281,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one trajectory to absorption")
     simulate.add_argument("--input", default=None, help="edge-list file")
-    simulate.add_argument("--n", type=int, default=None)
-    simulate.add_argument("--p", type=float, default=None)
-    simulate.add_argument("--p-neg", type=float, default=None, dest="p_neg")
+    simulate.add_argument("--n", type=_int_at_least(2), default=None)
+    simulate.add_argument("--p", type=_probability, default=None)
+    simulate.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
     simulate.add_argument("--engine", choices=("sih", "sioh", "constructive"), default="sih")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-steps", type=int, default=dynamics.DEFAULT_MAX_STEPS)
+    simulate.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_MAX_STEPS)
     simulate.add_argument("--out", default=None, help="write the final state edge list here")
     simulate.add_argument("--log", default=None, help="write one JSON event per line here")
     _add_prob_flags(simulate, ("p1", "p2", "p3", "q1", "q2", "q3"))
@@ -295,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--study", choices=(experiments.STUDY_C0, experiments.STUDY_DENSITY, experiments.STUDY_TRIADS), required=True
     )
-    experiment.add_argument("--n", type=int, default=8)
-    experiment.add_argument("--p", type=float, default=None)
-    experiment.add_argument("--p-neg", type=float, default=None, dest="p_neg")
+    experiment.add_argument("--n", type=_int_at_least(2), default=8)
+    experiment.add_argument("--p", type=_probability, default=None)
+    experiment.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
     experiment.add_argument("--trials", type=int, default=3000)
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--max-steps", type=int, default=dynamics.DEFAULT_MAX_STEPS)
+    experiment.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_MAX_STEPS)
     experiment.add_argument("--out", required=True, help="CSV output path")
     experiment.add_argument("--summary", default=None, help="also write the JSON summary here")
     _add_prob_flags(experiment, ("p1", "p2", "p3"))
@@ -330,7 +356,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EdgeListError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except balance.GuardLimitError as exc:

@@ -9,10 +9,13 @@ The SIOH dynamics add a +-1 opinion per node and interleave opinion gossip
 and person-opinion homophily with embedded SIH updates.
 
 Absorbing states coincide with triad-wise balance (SIH) and with
-sign-symmetric matrices whose links equal the opinion products (SIOH); the
-run loops use those structural tests, while the definition-literal
-equilibrium checks that simulate every possible update are kept as slower
-oracles.  Deterministic constructive sequences reach absorption from any
+sign-symmetric matrices whose links equal the opinion products (SIOH).  Both
+processes, and their single-step functions, run on one private kernel that
+keeps Python-int bitsets beside the dense rows: common neighbors are a mask
+intersection, and the violation counts behind those structural tests are
+updated with popcounts after every change.  A full structural scan confirms
+each absorption, and the definition-literal equilibrium checks that
+simulate every possible update are kept as slower oracles.  Deterministic constructive sequences reach absorption from any
 start by symmetrizing the zero pattern and then flipping one negative entry
 at a time, driving a count-of-negatives potential strictly down.
 """
@@ -194,102 +197,210 @@ def _aligned(rows: list[list[int]], y: list[int], n: int) -> bool:
     return True
 
 
-def _common_neighbors(rows: list[list[int]], n: int, i: int, j: int) -> list[int]:
-    ri, rj = rows[i], rows[j]
-    return [k for k in range(n) if k != i and k != j and ri[k] and rj[k]]
+def _bad_tris_through(pos: list[int], neg: list[int], a: int, b: int, v: int) -> int:
+    # Triples {a, b, k} with nonzero upper entries and a negative product,
+    # if the upper entry of {a, b} were v.  No mask holds its own node's
+    # bit, so the pair's own bits never reach the popcount.
+    if v > 0:
+        return ((pos[a] & neg[b]) | (neg[a] & pos[b])).bit_count()
+    if v < 0:
+        return ((pos[a] & pos[b]) | (neg[a] & neg[b])).bit_count()
+    return 0
 
 
-class _BalanceLedger:
-    """Incremental violation counts for the run loops.
+def _bad_links_at(pos: list[int], neg: list[int], up: int, i: int, yi: int) -> int:
+    # Links at i whose upper entry differs from y_i * y_k, for opinion yi.
+    mixed = ((pos[i] & ~up) | (neg[i] & up)).bit_count()
+    return mixed if yi > 0 else (pos[i] | neg[i]).bit_count() - mixed
 
-    ``bad_pairs`` counts unordered pairs with unequal entries; ``bad_tris``
-    counts triples whose three upper-triangle entries are nonzero with a
-    negative product.  Once the matrix is symmetric the upper entries are
-    the pair signs, so both counters at zero is exactly triad-wise balance.
-    Rewriting one entry touches one pair and, when it is an upper entry,
-    n - 2 triples, so maintenance is O(n) per update instead of a full
-    O(n^3) rescan.
+
+class _Kernel:
+    """Mutable SIH/SIOH state: dense rows, bitset views, violation counts.
+
+    ``rows`` stays the dense storage.  Beside it, per node ``a``, ``nz[a]``
+    has bit ``b`` set when ``rows[a][b]`` is nonzero, and ``pos[a]`` and
+    ``neg[a]`` have bit ``b`` set when the upper-triangle entry of the pair
+    {a, b} is +1 or -1.  For SIOH, ``y`` holds the opinions and ``up`` has
+    bit ``a`` set when ``y[a]`` is +1; for SIH both are None.
+
+    ``bad_pairs`` counts unordered pairs with unequal entries.  For SIH,
+    ``bad_tris`` counts triples whose three upper entries are nonzero with a
+    negative product; for SIOH, ``bad_links`` counts nonzero upper entries
+    that differ from the opinion product of their endpoints.  Once the
+    matrix is symmetric the upper entries are the pair signs, so
+    ``bad_pairs`` and the engine's second count both at zero is exactly
+    triad-wise balance (SIH) or the absorbing alignment (SIOH).  Each update
+    adjusts them with O(1) popcounts instead of a rescan.
     """
 
-    __slots__ = ("rows", "n", "bad_pairs", "bad_tris")
+    __slots__ = ("rows", "n", "y", "nz", "pos", "neg", "up", "cands",
+                 "bad_pairs", "bad_tris", "bad_links")
 
-    def __init__(self, rows: list[list[int]], n: int):
-        self.rows = rows
-        self.n = n
-        self.bad_pairs = 0
-        self.bad_tris = 0
+    def __init__(self, rows: list[list[int]], y: Optional[list[int]] = None):
+        n = len(rows)
+        nz, pos, neg = [0] * n, [0] * n, [0] * n
+        bad_pairs = 0
         for a in range(n):
             ra = rows[a]
-            for b in range(a + 1, n):
-                if ra[b] != rows[b][a]:
-                    self.bad_pairs += 1
-                vab = ra[b]
-                if vab:
-                    for c in range(b + 1, n):
-                        if ra[c] and rows[b][c] and vab * ra[c] * rows[b][c] < 0:
-                            self.bad_tris += 1
+            for b in range(n):
+                v = ra[b]
+                if v:
+                    nz[a] |= 1 << b
+                if b > a:
+                    if v != rows[b][a]:
+                        bad_pairs += 1
+                    if v > 0:
+                        pos[a] |= 1 << b
+                        pos[b] |= 1 << a
+                    elif v < 0:
+                        neg[a] |= 1 << b
+                        neg[b] |= 1 << a
+        self.rows, self.n, self.y = rows, n, y
+        self.nz, self.pos, self.neg = nz, pos, neg
+        self.cands = _candidates(rows, n)
+        self.bad_pairs = bad_pairs
+        self.bad_tris = self.bad_links = self.up = None
+        if y is None:
+            # Each bad triple is counted once through each of its three pairs.
+            self.bad_tris = sum(
+                _bad_tris_through(pos, neg, a, b, rows[a][b])
+                for a in range(n)
+                for b in range(a + 1, n)
+            ) // 3
+        else:
+            self.up = sum(1 << a for a in range(n) if y[a] > 0)
+            self.bad_links = sum(
+                _bad_links_at(pos, neg, self.up, a, y[a]) for a in range(n)
+            ) // 2
 
-    def balanced(self) -> bool:
-        return self.bad_pairs == 0 and self.bad_tris == 0
+    def absorbed(self) -> bool:
+        second = self.bad_tris if self.y is None else self.bad_links
+        return self.bad_pairs == 0 and second == 0
 
-    def _tri_count_through(self, a: int, b: int) -> int:
-        # Triples whose upper entries include rows[a][b], for a < b.
-        rows = self.rows
-        ra = rows[a]
-        vab = ra[b]
-        if not vab:
-            return 0
-        count = 0
-        for k in range(a):
-            rk = rows[k]
-            if rk[a] and rk[b] and rk[a] * rk[b] * vab < 0:
-                count += 1
-        for k in range(a + 1, b):
-            if ra[k] and rows[k][b] and ra[k] * rows[k][b] * vab < 0:
-                count += 1
-        for k in range(b + 1, self.n):
-            if ra[k] and rows[b][k] and ra[k] * rows[b][k] * vab < 0:
-                count += 1
-        return count
+    def run(
+        self,
+        params: SihParams | SiohParams,
+        rng: random.Random,
+        max_steps: int,
+        events: Optional[list[UpdateEvent]] = None,
+        labels: tuple[int, ...] = (),
+        first_step: int = 0,
+    ) -> tuple[bool, int]:
+        """Draw and apply up to ``max_steps`` updates, stopping at absorption.
 
-    def write(self, i: int, j: int, new: int) -> None:
-        rows = self.rows
-        a, b = (i, j) if i < j else (j, i)
-        if rows[a][b] != rows[b][a]:
-            self.bad_pairs -= 1
-        if i < j:
-            self.bad_tris -= self._tri_count_through(a, b)
-        rows[i][j] = new
-        if rows[a][b] != rows[b][a]:
-            self.bad_pairs += 1
-        if i < j:
-            self.bad_tris += self._tri_count_through(a, b)
-
-
-def _sih_draw(
-    rows: list[list[int]],
-    n: int,
-    cands: list[tuple[int, int]],
-    params: SihParams,
-    rng: random.Random,
-) -> tuple[int, int, str, Optional[int], int]:
-    """Pick pair, mechanism, optional neighbor; return the value to write.
-
-    Draw order is fixed for reproducibility: pair index, then mechanism,
-    then (for influence/homophily only) the neighbor index.
-    """
-    i, j = cands[rng.randrange(len(cands))]
-    ks = _common_neighbors(rows, n, i, j)
-    if not ks:
-        return i, j, SYMMETRY, None, rows[j][i]
-    r = rng.random()
-    if r < params.p1:
-        return i, j, SYMMETRY, None, rows[j][i]
-    if r < params.p1 + params.p2:
-        k = ks[rng.randrange(len(ks))]
-        return i, j, INFLUENCE, k, rows[i][k] * rows[k][j]
-    k = ks[rng.randrange(len(ks))]
-    return i, j, HOMOPHILY, k, rows[i][k] * rows[j][k]
+        ``params`` is SihParams for SIH and SiohParams for SIOH.  Returns
+        (absorbed, steps drawn); each draw appends one event to ``events``
+        when given.  The draw order is part of the reproducibility contract:
+        pair index, then mechanism, then (for influence and homophily only)
+        the index of the common neighbor in increasing node order.  SIOH
+        draws its outer branch first and skips it when X_ij = 0.
+        """
+        rows, nz, pos, neg, y, up = self.rows, self.nz, self.pos, self.neg, self.y, self.up
+        sioh = y is not None
+        if sioh:
+            q1, q12 = params.q1, params.q1 + params.q2
+            params = params.sih
+        p1, p12 = params.p1, params.p1 + params.p2
+        randrange, random_ = rng.randrange, rng.random
+        cands = self.cands
+        ncands = len(cands)
+        bad_pairs, bad_tris, bad_links = self.bad_pairs, self.bad_tris, self.bad_links
+        absorbed = False
+        t = 0
+        while t < max_steps:
+            i, j = cands[randrange(ncands)]
+            ri = rows[i]
+            old = ri[j]
+            mech = k = None
+            if sioh:
+                if not old:
+                    # The candidate condition guarantees the reverse link is nonzero.
+                    mech, new = SYMMETRY, rows[j][i]
+                else:
+                    r = random_()
+                    if r < q1:
+                        mech, new = OPINION_GOSSIP, old * y[j]
+                        old = y[i]
+                    elif r < q12:
+                        mech, new = PERSON_OPINION_HOMOPHILY, y[i] * y[j]
+            if mech is None:
+                common = nz[i] & nz[j]
+                if common:
+                    r = random_()
+                if not common or r < p1:
+                    mech, new = SYMMETRY, rows[j][i]
+                else:
+                    # The drawn index counts set bits from the lowest node:
+                    # drop that many low bits, then take the lowest left.
+                    for _ in range(randrange(common.bit_count())):
+                        common &= common - 1
+                    k = (common & -common).bit_length() - 1
+                    if r < p12:
+                        mech, new = INFLUENCE, ri[k] * rows[k][j]
+                    else:
+                        mech, new = HOMOPHILY, ri[k] * rows[j][k]
+            if events is not None:
+                events.append(
+                    UpdateEvent(
+                        first_step + t,
+                        labels[i],
+                        labels[j],
+                        mech,
+                        None if k is None else labels[k],
+                        old,
+                        new,
+                    )
+                )
+            t += 1
+            if new == old:
+                continue
+            if mech == OPINION_GOSSIP:
+                before = _bad_links_at(pos, neg, up, i, old)
+                bad_links += (pos[i] | neg[i]).bit_count() - 2 * before
+                y[i] = new
+                up ^= 1 << i
+            else:
+                back = rows[j][i]
+                if old == back:
+                    bad_pairs += 1
+                elif new == back:
+                    bad_pairs -= 1
+                ri[j] = new
+                bj = 1 << j
+                if not old:
+                    nz[i] |= bj
+                elif not new:
+                    # Only symmetry writes a zero, copying X_ji = 0, so the
+                    # pair leaves the candidates; a new link never adds one.
+                    nz[i] ^= bj
+                    cands = _candidates(rows, self.n)
+                    ncands = len(cands)
+                if i < j:
+                    if sioh:
+                        s = y[i] * y[j]
+                        bad_links += (new != 0 and new != s) - (old != 0 and old != s)
+                    else:
+                        bad_tris += _bad_tris_through(pos, neg, i, j, new)
+                        bad_tris -= _bad_tris_through(pos, neg, i, j, old)
+                    bi = 1 << i
+                    if old > 0:
+                        pos[i] ^= bj
+                        pos[j] ^= bi
+                    elif old < 0:
+                        neg[i] ^= bj
+                        neg[j] ^= bi
+                    if new > 0:
+                        pos[i] |= bj
+                        pos[j] |= bi
+                    elif new < 0:
+                        neg[i] |= bj
+                        neg[j] |= bi
+            if not bad_pairs and not (bad_links if sioh else bad_tris):
+                absorbed = True
+                break
+        self.cands, self.up = cands, up
+        self.bad_pairs, self.bad_tris, self.bad_links = bad_pairs, bad_tris, bad_links
+        return absorbed, t
 
 
 def _require_legal_sih(rows, n, i, j, mechanism, k, new) -> None:
@@ -323,19 +434,12 @@ def sih_step(
     x: AppraisalMatrix, params: SihParams, rng: random.Random, step: int = 0
 ) -> tuple[AppraisalMatrix, UpdateEvent]:
     """One SIH update; raises when the network has no link to act on."""
-    rows = _row_lists(x)
-    n = x.n
-    cands = _candidates(rows, n)
-    if not cands:
+    kernel = _Kernel(_row_lists(x))
+    if not kernel.cands:
         raise ValueError("no candidate pair: the appraisal network has no links")
-    i, j, mech, k, new = _sih_draw(rows, n, cands, params, rng)
-    old = rows[i][j]
-    rows[i][j] = new
-    labels = x.labels
-    event = UpdateEvent(
-        step, labels[i], labels[j], mech, None if k is None else labels[k], old, new
-    )
-    return _freeze(rows, labels), event
+    events: list[UpdateEvent] = []
+    kernel.run(params, rng, 1, events, x.labels, step)
+    return _freeze(kernel.rows, x.labels), events[0]
 
 
 def is_sih_equilibrium(x: AppraisalMatrix) -> bool:
@@ -372,52 +476,25 @@ def run_sih(
 ) -> AbsorptionRecord:
     """Run SIH updates until triad-wise balance or ``max_steps``.
 
-    Deterministic given (x0, params, seed).  Absorption is detected with
-    the O(n^3) structural balance test after every state change; hitting
-    ``max_steps`` without absorbing is reported, not raised.
+    Deterministic given (x0, params, seed).  Absorption is detected by the
+    kernel's incremental violation counts after every state change and
+    confirmed by a full balance scan at the end; hitting ``max_steps``
+    without absorbing is reported, not raised.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     rng = stream(seed)
-    rows = _row_lists(x0)
-    n = x0.n
-    labels = x0.labels
-    events: Optional[list[UpdateEvent]] = [] if log else None
-    ledger = _BalanceLedger(rows, n)
-    if ledger.balanced():
+    kernel = _Kernel(_row_lists(x0))
+    if kernel.absorbed():
         return AbsorptionRecord(True, 0, x0, None, () if log else None)
-    cands = _candidates(rows, n)
-    absorbed = False
-    t = 0
-    while t < max_steps:
-        i, j, mech, k, new = _sih_draw(rows, n, cands, params, rng)
-        old = rows[i][j]
-        if events is not None:
-            events.append(
-                UpdateEvent(
-                    t,
-                    labels[i],
-                    labels[j],
-                    mech,
-                    None if k is None else labels[k],
-                    old,
-                    new,
-                )
-            )
-        t += 1
-        if new != old:
-            ledger.write(i, j, new)
-            if (old == 0) != (new == 0):
-                cands = _candidates(rows, n)
-            if ledger.balanced():
-                absorbed = True
-                break
-    if absorbed and not _balanced(rows, n):
+    events: Optional[list[UpdateEvent]] = [] if log else None
+    absorbed, t = kernel.run(params, rng, max_steps, events, x0.labels)
+    if absorbed and not _balanced(kernel.rows, x0.n):
         raise RuntimeError("internal error: ledger disagrees with balance scan")
     return AbsorptionRecord(
         absorbed,
         t,
-        _freeze(rows, labels),
+        _freeze(kernel.rows, x0.labels),
         None,
         tuple(events) if events is not None else None,
     )
@@ -500,93 +577,6 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
 # ---------------------------------------------------------------------------
 
 
-def _sioh_draw(
-    rows: list[list[int]],
-    y: list[int],
-    n: int,
-    cands: list[tuple[int, int]],
-    params: SiohParams,
-    rng: random.Random,
-) -> tuple[int, int, str, Optional[int], int, int]:
-    """Returns (i, j, mechanism, k, old, new); gossip targets y_i."""
-    i, j = cands[rng.randrange(len(cands))]
-    v = rows[i][j]
-    if v == 0:
-        # The candidate condition guarantees the reverse link is nonzero.
-        return i, j, SYMMETRY, None, 0, rows[j][i]
-    r = rng.random()
-    if r < params.q1:
-        return i, j, OPINION_GOSSIP, None, y[i], v * y[j]
-    if r < params.q1 + params.q2:
-        return i, j, PERSON_OPINION_HOMOPHILY, None, v, y[i] * y[j]
-    ks = _common_neighbors(rows, n, i, j)
-    sih = params.sih
-    if not ks:
-        return i, j, SYMMETRY, None, v, rows[j][i]
-    r2 = rng.random()
-    if r2 < sih.p1:
-        return i, j, SYMMETRY, None, v, rows[j][i]
-    if r2 < sih.p1 + sih.p2:
-        k = ks[rng.randrange(len(ks))]
-        return i, j, INFLUENCE, k, v, rows[i][k] * rows[k][j]
-    k = ks[rng.randrange(len(ks))]
-    return i, j, HOMOPHILY, k, v, rows[i][k] * rows[j][k]
-
-
-class _AlignmentLedger:
-    """Incremental counts for the SIOH absorbing test.
-
-    ``bad_pairs`` as in the balance ledger; ``bad_links`` counts upper
-    entries that are nonzero and differ from the opinion product of their
-    endpoints.  Both at zero is exactly the absorbing alignment.
-    """
-
-    __slots__ = ("rows", "y", "n", "bad_pairs", "bad_links")
-
-    def __init__(self, rows: list[list[int]], y: list[int], n: int):
-        self.rows = rows
-        self.y = y
-        self.n = n
-        self.bad_pairs = 0
-        self.bad_links = 0
-        for a in range(n):
-            ra = rows[a]
-            for b in range(a + 1, n):
-                if ra[b] != rows[b][a]:
-                    self.bad_pairs += 1
-                if ra[b] and ra[b] != y[a] * y[b]:
-                    self.bad_links += 1
-
-    def aligned(self) -> bool:
-        return self.bad_pairs == 0 and self.bad_links == 0
-
-    def _link_bad(self, a: int, b: int) -> int:
-        v = self.rows[a][b]
-        return 1 if v and v != self.y[a] * self.y[b] else 0
-
-    def write_x(self, i: int, j: int, new: int) -> None:
-        rows = self.rows
-        a, b = (i, j) if i < j else (j, i)
-        if rows[a][b] != rows[b][a]:
-            self.bad_pairs -= 1
-        if i < j:
-            self.bad_links -= self._link_bad(a, b)
-        rows[i][j] = new
-        if rows[a][b] != rows[b][a]:
-            self.bad_pairs += 1
-        if i < j:
-            self.bad_links += self._link_bad(a, b)
-
-    def write_y(self, i: int, new: int) -> None:
-        for a in range(self.n):
-            if a != i:
-                self.bad_links -= self._link_bad(min(a, i), max(a, i))
-        self.y[i] = new
-        for a in range(self.n):
-            if a != i:
-                self.bad_links += self._link_bad(min(a, i), max(a, i))
-
-
 def _require_legal_sioh(rows, y, n, i, j, mechanism, k, new) -> None:
     if not (rows[i][j] or rows[j][i]):
         raise RuntimeError("illegal update: pair carries no link")
@@ -605,22 +595,12 @@ def sioh_step(
     state: SiohState, params: SiohParams, rng: random.Random, step: int = 0
 ) -> tuple[SiohState, UpdateEvent]:
     """One SIOH update; raises when the network has no link to act on."""
-    rows = _row_lists(state.x)
-    y = list(state.y)
-    n = state.x.n
-    cands = _candidates(rows, n)
-    if not cands:
+    kernel = _Kernel(_row_lists(state.x), list(state.y))
+    if not kernel.cands:
         raise ValueError("no candidate pair: the appraisal network has no links")
-    i, j, mech, k, old, new = _sioh_draw(rows, y, n, cands, params, rng)
-    if mech == OPINION_GOSSIP:
-        y[i] = new
-    else:
-        rows[i][j] = new
-    labels = state.x.labels
-    event = UpdateEvent(
-        step, labels[i], labels[j], mech, None if k is None else labels[k], old, new
-    )
-    return SiohState(_freeze(rows, labels), tuple(y)), event
+    events: list[UpdateEvent] = []
+    kernel.run(params, rng, 1, events, state.x.labels, step)
+    return SiohState(_freeze(kernel.rows, state.x.labels), tuple(kernel.y)), events[0]
 
 
 def is_sioh_equilibrium(state: SiohState) -> bool:
@@ -667,49 +647,18 @@ def run_sioh(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     rng = stream(seed)
-    rows = _row_lists(state0.x)
-    y = list(state0.y)
-    n = state0.x.n
-    labels = state0.x.labels
-    events: Optional[list[UpdateEvent]] = [] if log else None
-    ledger = _AlignmentLedger(rows, y, n)
-    if ledger.aligned():
+    kernel = _Kernel(_row_lists(state0.x), list(state0.y))
+    if kernel.absorbed():
         return AbsorptionRecord(True, 0, state0.x, state0.y, () if log else None)
-    cands = _candidates(rows, n)
-    absorbed = False
-    t = 0
-    while t < max_steps:
-        i, j, mech, k, old, new = _sioh_draw(rows, y, n, cands, params, rng)
-        if events is not None:
-            events.append(
-                UpdateEvent(
-                    t,
-                    labels[i],
-                    labels[j],
-                    mech,
-                    None if k is None else labels[k],
-                    old,
-                    new,
-                )
-            )
-        t += 1
-        if new != old:
-            if mech == OPINION_GOSSIP:
-                ledger.write_y(i, new)
-            else:
-                ledger.write_x(i, j, new)
-                if (old == 0) != (new == 0):
-                    cands = _candidates(rows, n)
-            if ledger.aligned():
-                absorbed = True
-                break
-    if absorbed and not _aligned(rows, y, n):
+    events: Optional[list[UpdateEvent]] = [] if log else None
+    absorbed, t = kernel.run(params, rng, max_steps, events, state0.x.labels)
+    if absorbed and not _aligned(kernel.rows, kernel.y, state0.x.n):
         raise RuntimeError("internal error: ledger disagrees with alignment scan")
     return AbsorptionRecord(
         absorbed,
         t,
-        _freeze(rows, labels),
-        tuple(y),
+        _freeze(kernel.rows, state0.x.labels),
+        tuple(kernel.y),
         tuple(events) if events is not None else None,
     )
 

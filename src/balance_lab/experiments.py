@@ -99,10 +99,10 @@ def conflict_ratio(x: AppraisalMatrix) -> Optional[float]:
     return x.negative_count() / nonzero
 
 
-def link_density(x: AppraisalMatrix) -> float:
-    """Nonzero entries over the n(n-1) possible directed links."""
+def link_density(x: AppraisalMatrix) -> Optional[float]:
+    """Nonzero entries over the n(n-1) possible directed links; None below two nodes."""
     if x.n < 2:
-        raise ValueError("link density needs at least two nodes")
+        return None
     return x.nonzero_count() / (x.n * (x.n - 1))
 
 

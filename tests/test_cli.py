@@ -270,6 +270,45 @@ class TestExperimentCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestInputErrors:
+    """Out-of-range flags and unreadable inputs end in a code, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--n", "1", "--p", "0.5"], "--n"),
+            (["simulate", "--n", "5", "--p", "1.5"], "--p"),
+            (["simulate", "--n", "5", "--p", "0.5", "--max-steps", "0"], "--max-steps"),
+            (["experiment", "--study", "c0", "--p", "0.4", "--n", "1", "--trials", "4"], "--n"),
+            (["experiment", "--study", "c0", "--p", "0.4", "--trials", "4", "--max-steps", "0"], "--max-steps"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        if argv[0] == "experiment":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"argument {flag}:" in err
+
+    def test_directory_input_is_parse_error(self, tmp_path, capsys):
+        assert main(["simulate", "--input", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_undecodable_input_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.el"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["analyze", "--input", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_one_node_analyze_reports_null_density(self, tmp_path, capsys):
+        path = tmp_path / "one.el"
+        path.write_text("n 1\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 1 and report["link_density"] is None
+
+
 class TestSubprocessInvocation:
     def test_module_entry_point_and_thread_env_invariance(self, tmp_path):
         """Byte-identical CSV under different BALANCE_LAB_THREADS settings."""

@@ -1,0 +1,165 @@
+"""The bitset SIH/SIOH kernel against the frozen list-scanning engines.
+
+``reference_dynamics`` holds the engines the kernel replaced.  Outputs must
+match exactly: absorption flag, step count, final state and every event,
+which pins the RNG draw order (pair, mechanism, neighbor).  The ledger test
+recounts the kernel's incremental violation counts and bitset views from
+the dense rows after every step.
+"""
+
+import random
+
+import pytest
+
+import reference_dynamics as ref
+from balance_lab.dynamics import (
+    SihParams,
+    SiohParams,
+    SiohState,
+    _candidates,
+    _Kernel,
+    run_sih,
+    run_sioh,
+    sih_step,
+    sioh_step,
+)
+from balance_lab.graphs import AppraisalMatrix
+
+from conftest import random_matrix
+
+SIH_WEIGHTS = (SihParams(), SihParams(0.2, 0.3, 0.5), SihParams(0.7, 0.2, 0.1), SihParams(0.05, 0.05, 0.9))
+SIOH_WEIGHTS = (
+    SiohParams(),
+    SiohParams(0.5, 0.3, 0.2, SIH_WEIGHTS[1]),
+    SiohParams(0.1, 0.1, 0.8, SIH_WEIGHTS[3]),
+)
+
+
+def random_input(rng, n):
+    """Arbitrary matrix with half pairs; about a third of the cases zero some rows."""
+    rows = [list(r) for r in random_matrix(rng, n, p_nonzero=rng.random()).rows]
+    if rng.random() < 0.35:
+        for a in rng.sample(range(n), rng.randrange(1, n + 1)):
+            rows[a] = [0] * n
+    return AppraisalMatrix.from_rows(rows)
+
+
+def random_opinions(rng, n):
+    return tuple(rng.choice((-1, 1)) for _ in range(n))
+
+
+def cases(seed, count):
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randrange(2, 11)
+        x0 = random_input(rng, n)
+        max_steps = rng.choice((1, 2, 7, 60, 20_000))
+        yield rng, case, x0, max_steps, rng.random() < 0.5
+
+
+def test_run_sih_matches_reference():
+    for rng, case, x0, max_steps, log in cases(101, 250):
+        params = rng.choice(SIH_WEIGHTS)
+        got = run_sih(x0, params, case, max_steps, log)
+        want = ref.run_sih(x0, params, case, max_steps, log)
+        assert got == want, (case, x0.rows, params, max_steps, log)
+
+
+def test_run_sioh_matches_reference():
+    for rng, case, x0, max_steps, log in cases(202, 250):
+        params = rng.choice(SIOH_WEIGHTS)
+        state0 = SiohState(x0, random_opinions(rng, x0.n))
+        got = run_sioh(state0, params, case, max_steps, log)
+        want = ref.run_sioh(state0, params, case, max_steps, log)
+        assert got == want, (case, x0.rows, state0.y, params, max_steps, log)
+
+
+def test_step_functions_match_reference():
+    rng = random.Random(303)
+    for case in range(120):
+        n = rng.randrange(2, 11)
+        x0 = random_input(rng, n)
+        y0 = random_opinions(rng, n)
+        sih, sioh = rng.choice(SIH_WEIGHTS), rng.choice(SIOH_WEIGHTS)
+        if not _candidates(x0.rows, n):
+            for step, step_ref in ((sih_step, ref.sih_step), (sioh_step, ref.sioh_step)):
+                state = x0 if step is sih_step else SiohState(x0, y0)
+                params = sih if step is sih_step else sioh
+                with pytest.raises(ValueError, match="no candidate"):
+                    step(state, params, random.Random(case))
+                with pytest.raises(ValueError, match="no candidate"):
+                    step_ref(state, params, random.Random(case))
+            continue
+        x, x_ref = x0, x0
+        state, state_ref = SiohState(x0, y0), SiohState(x0, y0)
+        draws, draws_ref = random.Random(case), random.Random(case)
+        for t in range(25):
+            x, event = sih_step(x, sih, draws, step=t + 5)
+            x_ref, event_ref = ref.sih_step(x_ref, sih, draws_ref, step=t + 5)
+            assert (x, event) == (x_ref, event_ref), (case, t)
+            state, event = sioh_step(state, sioh, draws, step=t)
+            state_ref, event_ref = ref.sioh_step(state_ref, sioh, draws_ref, step=t)
+            assert (state, event) == (state_ref, event_ref), (case, t)
+            if not _candidates(x.rows, n) or not _candidates(state.x.rows, n):
+                break
+
+
+def recount(rows, y):
+    """Violation counts and bitset views straight from the definitions."""
+    n = len(rows)
+
+    def upper(a, b):
+        return rows[min(a, b)][max(a, b)]
+
+    bad_pairs = sum(rows[a][b] != rows[b][a] for a in range(n) for b in range(a + 1, n))
+    bad_tris = sum(
+        1
+        for a in range(n)
+        for b in range(a + 1, n)
+        for c in range(b + 1, n)
+        if upper(a, b) * upper(a, c) * upper(b, c) < 0
+    )
+    bad_links = None
+    if y is not None:
+        bad_links = sum(
+            1
+            for a in range(n)
+            for b in range(a + 1, n)
+            if upper(a, b) and upper(a, b) != y[a] * y[b]
+        )
+    views = {
+        "nz": [sum(1 << b for b in range(n) if rows[a][b]) for a in range(n)],
+        "pos": [sum(1 << b for b in range(n) if b != a and upper(a, b) > 0) for a in range(n)],
+        "neg": [sum(1 << b for b in range(n) if b != a and upper(a, b) < 0) for a in range(n)],
+        "up": None if y is None else sum(1 << a for a in range(n) if y[a] > 0),
+        "cands": ref._candidates(rows, n),
+    }
+    return bad_pairs, (None if y is not None else bad_tris), bad_links, views
+
+
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+def test_incremental_ledger_matches_recount_after_every_step(engine):
+    rng = random.Random(404 if engine == "sih" else 505)
+    steps_checked = 0
+    for case in range(80):
+        n = rng.randrange(2, 11)
+        rows = [list(r) for r in random_input(rng, n).rows]
+        y = list(random_opinions(rng, n)) if engine == "sioh" else None
+        params = rng.choice(SIOH_WEIGHTS if y is not None else SIH_WEIGHTS)
+        kernel = _Kernel(rows, y)
+        draws = random.Random(case)
+        for _ in range(300):
+            bad_pairs, bad_tris, bad_links, views = recount(rows, y)
+            assert (kernel.bad_pairs, kernel.bad_tris, kernel.bad_links) == (
+                bad_pairs,
+                bad_tris,
+                bad_links,
+            ), (case, rows, y)
+            for name, value in views.items():
+                assert getattr(kernel, name) == value, (case, name)
+            if kernel.absorbed() or not kernel.cands:
+                break
+            absorbed, taken = kernel.run(params, draws, 1)
+            assert taken == 1 and absorbed == kernel.absorbed()
+            steps_checked += 1
+    assert steps_checked > 1000
