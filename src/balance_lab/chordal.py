@@ -3,11 +3,14 @@
 A cycle is *subchordal* when some subgraph on exactly its nodes contains all
 cycle edges and is chordal; such a witness supports a fan triangulation of
 the cycle's polygon and forces the cycle sign positive in any triad-wise
-balanced assignment.  A skeleton on which every maximal cyclic subgraph
-admits a subchordal covering cycle whose chords split nicely guarantees that
-triad-wise and two-faction balance coincide for every sign assignment; this
-module both certifies that condition and verifies the equivalence by
-exhausting sign assignments on small graphs.
+balanced assignment.  A cycle is subchordal exactly when the chords
+available in the graph contain a triangulation of its polygon, which an
+O(m^3) interval dynamic program over cycle positions decides.  A skeleton
+on which every maximal cyclic subgraph admits a subchordal covering cycle
+whose chords split nicely guarantees that triad-wise and two-faction
+balance coincide for every sign assignment; this module both certifies that
+condition and verifies the equivalence by exhausting sign assignments on
+small graphs.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from typing import Optional
 from .balance import (
     Cycle,
     GuardLimitError,
-    _iter_simple_cycles,
     detect_two_faction,
     enumerate_simple_cycles,
 )
-from .graphs import AppraisalMatrix, UndirectedSkeleton, induced_subgraph
+from .graphs import AppraisalMatrix, UndirectedSkeleton
 
-CHORD_GUARD = 20
 EXHAUSTIVE_EDGE_LIMIT = 14
 
 
@@ -163,71 +164,45 @@ class TriangulationFan:
     triads: tuple[tuple[int, int, int], ...]
 
 
-def _chordless_long_cycle(g: UndirectedSkeleton) -> Optional[Cycle]:
-    # Shortest cycle of length >= 4 with no chord; None iff g is chordal.
-    best: Optional[Cycle] = None
-    for c in _iter_simple_cycles(g, None):
-        if len(c) < 4 or (best is not None and len(c) >= len(best)):
-            continue
-        if not find_chords(g, c):
-            best = c
-            if len(best) == 4:
-                break
-    return best
+def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWitness]:
+    """A chordal witness over the chords available in ``g``, or None.
 
-
-def is_subchordal(
-    g: UndirectedSkeleton, cycle: Cycle, force: bool = False
-) -> Optional[SubchordalWitness]:
-    """Search for a chordal witness over the chords available in ``g``.
-
-    Chordality is not monotone under edge addition, so a greedy fill is
-    unsound.  Instead we branch and bound: while the current candidate has
-    a chordless cycle of length >= 4, some available chord of that cycle
-    must join the witness, so we branch on each.  Every chordal supergraph
-    within the available chords is reachable this way, hence a None result
-    means no witness exists.
+    A chordal graph containing the cycle has a chord of it that splits the
+    cycle into two cycles, each again chordal inside the graph, so recursing
+    yields ``m - 3`` non-crossing chords: a triangulation of the polygon.
+    Conversely every triangulation is chordal.  The interval DP over cycle
+    positions decides this exactly (Klincsek 1980): ``split[a][b]`` holds an
+    apex ``k`` when ``{a, b}`` is a cycle edge or an available chord and the
+    sub-polygons ``a..k`` and ``k..b`` are single edges or triangulable.
+    The cycle is subchordal iff ``split[0][m - 1]`` exists, and the witness
+    is the triangulation read off the apexes.  O(m^3) time, no guard.
     """
     _validate_cycle(g, cycle)
-    chords = find_chords(g, cycle)
-    if len(chords) > CHORD_GUARD and not force:
-        raise GuardLimitError(
-            f"subchordal search refused with {len(chords)} candidate chords "
-            f"> {CHORD_GUARD}; pass force to override"
-        )
-    nodes = tuple(sorted(set(cycle)))
-    base = frozenset(_cycle_edges(cycle))
-    dead_ends: set[frozenset] = set()
+    m = len(cycle)
+    split: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
 
-    def attempt(included: frozenset) -> Optional[frozenset]:
-        if included in dead_ends:
-            return None
-        candidate = UndirectedSkeleton(nodes, base | included)
-        if is_chordal(candidate):
-            return included
-        gap = _chordless_long_cycle(candidate)
-        pos = {v: p for p, v in enumerate(gap)}
-        m = len(gap)
-        for e in chords:
-            if e in included:
-                continue
-            pa, pb = pos.get(e[0]), pos.get(e[1])
-            if pa is None or pb is None:
-                continue
-            if pa > pb:
-                pa, pb = pb, pa
-            if pb - pa < 2 or (pa == 0 and pb == m - 1):
-                continue
-            found = attempt(included | {e})
-            if found is not None:
-                return found
-        dead_ends.add(included)
-        return None
+    def solved(a: int, b: int) -> bool:
+        return b - a == 1 or split[a][b] is not None
 
-    result = attempt(frozenset())
-    if result is None:
+    for span in range(2, m):
+        for a in range(m - span):
+            b = a + span
+            if g.has_edge(cycle[a], cycle[b]):
+                split[a][b] = next(
+                    (k for k in range(a + 1, b) if solved(a, k) and solved(k, b)), None
+                )
+    if split[0][m - 1] is None:
         return None
-    return SubchordalWitness(tuple(cycle), result)
+    chords = []
+    pending = [(0, m - 1)]
+    while pending:
+        a, b = pending.pop()
+        k = split[a][b]
+        for p, q in ((a, k), (k, b)):
+            if q - p >= 2:
+                chords.append((cycle[p], cycle[q]))
+                pending.append((p, q))
+    return SubchordalWitness(tuple(cycle), frozenset(chords))
 
 
 def _first_internal_chord(
@@ -299,6 +274,19 @@ def consecutive_triad(witness: SubchordalWitness) -> tuple[int, int, int]:
     return (cycle[p], cycle[p + 1], cycle[p + 2])
 
 
+def _maximal_cycle_groups(
+    g: UndirectedSkeleton, force: bool
+) -> list[tuple[frozenset[int], list[Cycle]]]:
+    # One enumeration, grouped by node set.  Every cycle on a maximal node
+    # set S covers S, so each group is exactly the covering cycles of S, in
+    # the enumeration's (length, tuple) order.
+    groups: dict[frozenset[int], list[Cycle]] = {}
+    for c in enumerate_simple_cycles(g, force=force):
+        groups.setdefault(frozenset(c), []).append(c)
+    maximal = [(s, cs) for s, cs in groups.items() if not any(s < t for t in groups)]
+    return sorted(maximal, key=lambda item: sorted(item[0]))
+
+
 def maximal_cyclic_subgraphs(
     g: UndirectedSkeleton, force: bool = False
 ) -> list[frozenset[int]]:
@@ -308,9 +296,7 @@ def maximal_cyclic_subgraphs(
     and keeping the inclusion-maximal ones.  Exact and exponential, guarded
     like cycle enumeration.
     """
-    node_sets = {frozenset(c) for c in enumerate_simple_cycles(g, force=force)}
-    maximal = [s for s in node_sets if not any(s < t for t in node_sets)]
-    return sorted(maximal, key=lambda s: sorted(s))
+    return [node_set for node_set, _ in _maximal_cycle_groups(g, force)]
 
 
 @dataclass(frozen=True)
@@ -333,38 +319,33 @@ def check_equivalence_conditions(
     in the ambient graph, at least one subchordal side after splitting.
     Both conditions must be met by the same cycle.  The report lists, per
     subgraph, the certifying cycle or the failure reason.
+
+    One pass of cycle enumeration yields both the maximal cyclic subgraphs
+    and their covering cycles, tried in ``(length, tuple)`` order; ``force``
+    overrides only that enumeration's node guard, since each subchordality
+    test is the polynomial triangulation DP of ``is_subchordal``.
     """
     if not g.is_connected():
         raise ValueError("equivalence conditions are defined for connected graphs")
     ok = True
     report: list[SubgraphCertificate] = []
-    for node_set in maximal_cyclic_subgraphs(g, force=force):
+    for node_set, covering in _maximal_cycle_groups(g, force):
         nodes = tuple(sorted(node_set))
         if len(nodes) <= 3:
             report.append(
                 SubgraphCertificate(nodes, True, None, "three nodes or fewer: nothing to check")
             )
             continue
-        sub = induced_subgraph(g, node_set)
-        covering = [
-            c
-            for c in enumerate_simple_cycles(sub, force=True)
-            if len(c) == len(nodes)
-        ]
         found = None
         any_subchordal = False
         for cycle in covering:
-            witness = is_subchordal(g, cycle, force=force)
-            if witness is None:
+            if is_subchordal(g, cycle) is None:
                 continue
             any_subchordal = True
             splits_ok = True
             for chord in find_chords(g, cycle):
                 first, second = split_by_chord(cycle, chord)
-                if (
-                    is_subchordal(g, first, force=force) is None
-                    and is_subchordal(g, second, force=force) is None
-                ):
+                if is_subchordal(g, first) is None and is_subchordal(g, second) is None:
                     splits_ok = False
                     break
             if splits_ok:

@@ -1,8 +1,9 @@
 """Command-line front end: analysis, certification, simulation, experiments.
 
 Every subcommand is a thin adapter over the library; no algorithmic logic
-lives here.  Exit codes: 0 success or absorbed, 1 usage, 2 input parse,
-3 guard refusal, 4 max-steps exhaustion.
+lives here.  Exit codes: 0 success or absorbed, 1 usage (including an
+output path that cannot be written), 2 input parse, 3 guard refusal,
+4 max-steps exhaustion.
 """
 
 from __future__ import annotations
@@ -84,6 +85,26 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be opened for writing, before any work.
+
+    Opens in append mode so nothing is truncated, and removes a file the
+    probe itself created.
+    """
+    for flag in ("out", "log", "summary"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if not existed:
+            os.remove(path)
 
 
 def _workers() -> int:
@@ -349,6 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -12,6 +12,7 @@ from balance_lab.balance import (
 )
 from balance_lab.chordal import (
     SubchordalWitness,
+    SubgraphCertificate,
     check_equivalence_conditions,
     consecutive_triad,
     equivalence_counterexample,
@@ -68,6 +69,49 @@ def subchordal_by_subsets(g: UndirectedSkeleton, cycle) -> bool:
             if chordal_by_definition(candidate):
                 return True
     return False
+
+
+def certificate_by_definitions(g: UndirectedSkeleton):
+    """Oracle: the equivalence certificate with a cycle enumeration per
+    maximal cyclic subgraph and subset enumeration for subchordality."""
+    node_sets = {frozenset(c) for c in enumerate_simple_cycles(g)}
+    maximal = sorted((s for s in node_sets if not any(s < t for t in node_sets)), key=sorted)
+    ok, report = True, []
+    for node_set in maximal:
+        nodes = tuple(sorted(node_set))
+        if len(nodes) <= 3:
+            report.append(
+                SubgraphCertificate(nodes, True, None, "three nodes or fewer: nothing to check")
+            )
+            continue
+        sub = induced_subgraph(g, node_set)
+        covering = [c for c in enumerate_simple_cycles(sub) if len(c) == len(nodes)]
+        found, any_subchordal = None, False
+        for cycle in covering:
+            if not subchordal_by_subsets(g, cycle):
+                continue
+            any_subchordal = True
+            splits_ok = True
+            for chord in find_chords(g, cycle):
+                first, second = split_by_chord(cycle, chord)
+                if not subchordal_by_subsets(g, first) and not subchordal_by_subsets(g, second):
+                    splits_ok = False
+                    break
+            if splits_ok:
+                found = cycle
+                break
+        if found is not None:
+            report.append(SubgraphCertificate(nodes, True, found))
+        else:
+            ok = False
+            reason = (
+                "every subchordal covering cycle has a chord with both split "
+                "cycles non-subchordal"
+                if any_subchordal
+                else "no covering cycle is subchordal"
+            )
+            report.append(SubgraphCertificate(nodes, False, None, reason))
+    return ok, report
 
 
 class TestFindChords:
@@ -158,28 +202,34 @@ class TestIsSubchordal:
     def test_agrees_with_subset_enumeration_oracle(self):
         rng = random.Random(37)
         found, missing = 0, 0
-        for _ in range(60):
-            g = random_connected_skeleton(rng, rng.randrange(4, 8), extra_p=0.35)
+        for _ in range(150):
+            g = random_connected_skeleton(rng, rng.randrange(4, 10), extra_p=0.3)
             cycles = enumerate_simple_cycles(g)
-            if not cycles:
-                continue
-            cycle = cycles[rng.randrange(len(cycles))]
-            witness = is_subchordal(g, cycle)
-            expected = subchordal_by_subsets(g, cycle)
-            assert (witness is not None) == expected
-            if witness is None:
-                missing += 1
-            else:
+            others = cycles[:-2]
+            # The two longest cycles and two others.  The oracle costs
+            # 2^chords, so cycles with more than ten chords are skipped.
+            for cycle in cycles[-2:] + rng.sample(others, min(2, len(others))):
+                if len(find_chords(g, cycle)) > 10:
+                    continue
+                witness = is_subchordal(g, cycle)
+                expected = subchordal_by_subsets(g, cycle)
+                assert (witness is not None) == expected
+                if witness is None:
+                    missing += 1
+                    continue
                 found += 1
+                # A triangulation of the cycle's polygon from available chords.
+                assert len(witness.extra_edges) == len(cycle) - 3
                 assert witness.extra_edges <= set(find_chords(g, cycle))
-        assert found > 0 and missing > 0
+        assert found > 100 and missing > 30
 
     def test_chord_guard(self):
+        # No chord guard: the 27 chords of K9's 9-cycle are decided directly.
         k9 = complete_skeleton(9)
         long_cycle = tuple(range(1, 10))
-        with pytest.raises(GuardLimitError):
-            is_subchordal(k9, long_cycle)
-        assert is_subchordal(k9, long_cycle, force=True) is not None
+        witness = is_subchordal(k9, long_cycle)
+        assert witness is not None
+        assert len(witness.extra_edges) == 6
 
     def test_invalid_witness_rejected(self):
         with pytest.raises(ValueError, match="chordal"):
@@ -362,6 +412,25 @@ class TestEquivalenceConditions:
         g = UndirectedSkeleton.from_edges(4, [(1, 2), (3, 4)])
         with pytest.raises(ValueError, match="connected"):
             check_equivalence_conditions(g)
+
+    def test_matches_certificate_rebuilt_from_definitions(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for _ in range(160):
+            g = random_connected_skeleton(rng, rng.randrange(4, 9), extra_p=0.3)
+            ok, report = check_equivalence_conditions(g)
+            assert (ok, report) == certificate_by_definitions(g)
+            outcomes.update((entry.certified, entry.reason) for entry in report)
+        assert outcomes == {
+            (True, None),
+            (True, "three nodes or fewer: nothing to check"),
+            (False, "no covering cycle is subchordal"),
+            (
+                False,
+                "every subchordal covering cycle has a chord with both split "
+                "cycles non-subchordal",
+            ),
+        }
 
     def test_graph2_core_against_exhaustive_oracle(self, graph2):
         core = induced_subgraph(graph2, {3, 4, 5, 6, 7})

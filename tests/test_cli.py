@@ -128,6 +128,16 @@ class TestEquivalence:
         assert balance.is_triad_wise_balanced(x)[0]
         assert balance.detect_two_faction(x) is None
 
+    def test_k9_conditions_hold_without_chord_guard(self, tmp_path, capsys):
+        # 27 chords on every covering cycle; the subchordality test has no guard.
+        path = tmp_path / "k9.el"
+        links = [f"{i} {j} 1" for i in range(1, 10) for j in range(1, 10) if i != j]
+        path.write_text("n 9\n" + "\n".join(links) + "\n")
+        assert main(["equivalence", "--input", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["edges"]) == 36
+        assert report["conditions_hold"] is True
+
     def test_disconnected_input_rejected(self, tmp_path, capsys):
         path = tmp_path / "disc.el"
         path.write_text("n 4\n1 2 1\n2 1 1\n3 4 1\n4 3 1\n")
@@ -300,6 +310,28 @@ class TestInputErrors:
         path.write_bytes(b"\xff\xfe\x00")
         assert main(["analyze", "--input", str(path)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "4", "--p", "0.5", "--out", "{gone}/final.el"],
+            ["simulate", "--n", "4", "--p", "0.5", "--log", "{dir}"],
+            ["experiment", "--study", "c0", "--p", "0.4", "--trials", "4",
+             "--out", "{gone}/trials.csv"],
+            ["experiment", "--study", "c0", "--p", "0.4", "--trials", "4",
+             "--out", "{dir}/trials.csv", "--summary", "{gone}/summary.json"],
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv):
+        # The last argument is the bad path.  It is refused before anything
+        # runs, so no CSV is written beside a bad --summary.
+        argv = [a.format(dir=tmp_path, gone=tmp_path / "missing") for a in argv]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {argv[-1]}: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_node_analyze_reports_null_density(self, tmp_path, capsys):
         path = tmp_path / "one.el"
