@@ -12,7 +12,9 @@ The package splits into five layers:
 * :mod:`balance_lab.dynamics` -- the SIH and SIOH gossip dynamics, their
   equilibrium tests, and deterministic constructive convergence sequences.
 * :mod:`balance_lab.experiments` -- signed Erdos-Renyi generation, conflict
-  metrics, Monte-Carlo study batches, regression, and CSV export.
+  metrics, regression, CSV export, and one Monte-Carlo study entry point,
+  :func:`~balance_lab.experiments.run_study`, where ``p=None`` or
+  ``p_neg=None`` means that parameter is drawn per trial.
 """
 
 from .graphs import (
@@ -83,9 +85,7 @@ from .experiments import (
     link_density,
     count_triads,
     linear_regression,
-    run_study_c0,
-    run_study_density,
-    run_study_triads,
+    run_study,
     export_csv,
     study_summary,
 )

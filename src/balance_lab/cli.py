@@ -35,7 +35,6 @@ EXIT_GUARD = 3
 EXIT_NOT_ABSORBED = 4
 
 THREADS_ENV = "BALANCE_LAB_THREADS"
-PROB_SUM_TOL = 1e-9
 
 # Sub-stream tags for single-run commands.
 _TAG_GEN = 101
@@ -117,33 +116,21 @@ def _workers() -> int:
     return max(1, min(value, cpus))
 
 
+def _weights(args, cls, names: tuple[str, ...], **extra):
+    """Build ``cls`` from all of the weight flags ``names`` or from none of them."""
+    values = [getattr(args, name) for name in names]
+    if all(v is None for v in values):
+        return cls(**extra)
+    if any(v is None for v in values):
+        raise _UsageError(f"provide all of {' '.join('--' + n for n in names)} or none")
+    try:
+        return cls(*values, **extra)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _sih_params(args) -> dynamics.SihParams:
-    given = [v for v in (args.p1, args.p2, args.p3) if v is not None]
-    if not given:
-        return dynamics.SihParams()
-    if len(given) != 3:
-        raise _UsageError("provide all of --p1 --p2 --p3 or none")
-    if abs(args.p1 + args.p2 + args.p3 - 1.0) > PROB_SUM_TOL:
-        raise _UsageError("--p1 --p2 --p3 must sum to 1 (no renormalization)")
-    try:
-        return dynamics.SihParams(args.p1, args.p2, args.p3)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _sioh_params(args) -> dynamics.SiohParams:
-    sih = _sih_params(args)
-    given = [v for v in (args.q1, args.q2, args.q3) if v is not None]
-    if not given:
-        return dynamics.SiohParams(sih=sih)
-    if len(given) != 3:
-        raise _UsageError("provide all of --q1 --q2 --q3 or none")
-    if abs(args.q1 + args.q2 + args.q3 - 1.0) > PROB_SUM_TOL:
-        raise _UsageError("--q1 --q2 --q3 must sum to 1 (no renormalization)")
-    try:
-        return dynamics.SiohParams(args.q1, args.q2, args.q3, sih=sih)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _weights(args, dynamics.SihParams, ("p1", "p2", "p3"))
 
 
 def _load_or_generate(args) -> AppraisalMatrix:
@@ -245,7 +232,8 @@ def cmd_simulate(args) -> int:
         draw = stream(args.seed, _TAG_OPINIONS)
         y0 = tuple(1 if draw.random() < 0.5 else -1 for _ in range(x0.n))
         state0 = dynamics.SiohState(x0, y0)
-        record = dynamics.run_sioh(state0, _sioh_params(args), run_seed, args.max_steps, log=want_log)
+        params = _weights(args, dynamics.SiohParams, ("q1", "q2", "q3"), sih=_sih_params(args))
+        record = dynamics.run_sioh(state0, params, run_seed, args.max_steps, log=want_log)
     else:
         record = dynamics.constructive_sih_sequence(x0)
     payload = {
@@ -267,34 +255,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.trials < 2:
-        raise _UsageError("--trials must be at least 2")
-    workers = _workers()
-    params = _sih_params(args)
-    if args.study == experiments.STUDY_C0:
-        if args.p is None:
-            raise _UsageError("study 'c0' fixes --p")
-        records, reg = experiments.run_study_c0(
-            args.n, args.p, args.trials, args.seed, params, args.max_steps, workers
-        )
-        fixed = {"n": args.n, "p": args.p, "p_neg": None}
-    elif args.study == experiments.STUDY_DENSITY:
-        if args.p_neg is None:
-            raise _UsageError("study 'density' fixes --p-neg")
-        records, reg = experiments.run_study_density(
-            args.n, args.p_neg, args.trials, args.seed, params, args.max_steps, workers
-        )
-        fixed = {"n": args.n, "p": None, "p_neg": args.p_neg}
-    else:
-        if args.p is None or args.p_neg is None:
-            raise _UsageError("study 'triads' fixes --p and --p-neg")
-        records, reg = experiments.run_study_triads(
-            args.n, args.p, args.p_neg, args.trials, args.seed, params, args.max_steps, workers
-        )
-        fixed = {"n": args.n, "p": args.p, "p_neg": args.p_neg}
+    drawn = experiments.STUDIES[args.study]
+    fixed = {"n": args.n, "p": args.p, "p_neg": args.p_neg}
+    for name in ("p", "p_neg"):
+        flag = "--" + name.replace("_", "-")
+        if name == drawn and fixed[name] is not None:
+            raise _UsageError(f"study {args.study!r} draws {flag} per trial")
+        if name != drawn and fixed[name] is None:
+            raise _UsageError(f"study {args.study!r} fixes {flag}")
+    records, reg = experiments.run_study(
+        args.n, args.p, args.p_neg, args.trials, args.seed, _sih_params(args), args.max_steps, _workers()
+    )
     experiments.export_csv(records, args.out)
-    summary = experiments.study_summary(args.study, records, reg, fixed)
-    _emit(summary, args.summary)
+    _emit(experiments.study_summary(args.study, records, reg, fixed), args.summary)
     return EXIT_OK
 
 
@@ -339,13 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prob_flags(simulate, ("p1", "p2", "p3", "q1", "q2", "q3"))
 
     experiment = sub.add_parser("experiment", help="Monte-Carlo study batch")
-    experiment.add_argument(
-        "--study", choices=(experiments.STUDY_C0, experiments.STUDY_DENSITY, experiments.STUDY_TRIADS), required=True
-    )
+    experiment.add_argument("--study", choices=tuple(experiments.STUDIES), required=True)
     experiment.add_argument("--n", type=_int_at_least(2), default=8)
     experiment.add_argument("--p", type=_probability, default=None)
     experiment.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
-    experiment.add_argument("--trials", type=int, default=3000)
+    experiment.add_argument("--trials", type=_int_at_least(2), default=3000)
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_MAX_STEPS)
     experiment.add_argument("--out", required=True, help="CSV output path")

@@ -53,7 +53,7 @@ class SihParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if abs(self.p1 + self.p2 + self.p3 - 1.0) > _PROB_TOL:
-            raise ValueError("p1 + p2 + p3 must equal 1")
+            raise ValueError("p1, p2 and p3 must sum to 1 (no renormalization)")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class SiohParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if abs(self.q1 + self.q2 + self.q3 - 1.0) > _PROB_TOL:
-            raise ValueError("q1 + q2 + q3 must equal 1")
+            raise ValueError("q1, q2 and q3 must sum to 1 (no renormalization)")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ Each trial generates a bilateral signed random graph, runs SIH to
 absorption, and records conflict/density/triad metrics.  Trials derive
 their streams from (master seed, trial index), so batches reproduce
 byte-identically regardless of worker count or scheduling.
+
+:func:`run_study` is the one study entry point.  A generator parameter
+passed as ``None`` (``p`` or ``p_neg``, never both) is drawn per trial,
+and that choice picks the regressor of the final conflict ratio.
+:data:`STUDIES` names the paper's three studies by the parameter each
+draws: ``c0`` draws ``p_neg``, ``density`` draws ``p``, ``triads`` fixes
+both.
 """
 
 from __future__ import annotations
@@ -150,9 +157,8 @@ def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionRes
 # Study batches.
 # ---------------------------------------------------------------------------
 
-STUDY_C0 = "c0"
-STUDY_DENSITY = "density"
-STUDY_TRIADS = "triads"
+# Which generator parameter each study draws per trial; None fixes both.
+STUDIES = {"c0": "p_neg", "density": "p", "triads": None}
 
 
 def _run_trial(args: tuple) -> TrialRecord:
@@ -180,80 +186,46 @@ def _run_trial(args: tuple) -> TrialRecord:
     )
 
 
-def _run_batch(
+def run_study(
     n: int,
     p: Optional[float],
     p_neg: Optional[float],
     trials: int,
     master_seed: int,
-    params: SihParams,
-    max_steps: int,
-    workers: int,
-) -> list[TrialRecord]:
+    sih_params: Optional[SihParams] = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    workers: int = 1,
+) -> tuple[list[TrialRecord], RegressionResult]:
+    """Run a batch of SIH trials and regress final conflicts on one initial metric.
+
+    ``p=None`` or ``p_neg=None`` draws that parameter uniformly on [0, 1]
+    per trial; at most one may be drawn.  The regressor follows from it:
+    the initial conflict ratio when ``p_neg`` is drawn, the link density
+    when ``p`` is drawn, the triangle count when both are fixed.  Trials
+    whose graph came out linkless have undefined ratios and are kept in the
+    records but excluded from the regression.
+    """
+    if p is None and p_neg is None:
+        raise ValueError("a study draws at most one of p and p_neg per trial")
     if trials < 2:
         raise ValueError("a study needs at least two trials")
+    params = sih_params or SihParams()
     jobs = [(t, master_seed, n, p, p_neg, params, max_steps) for t in range(trials)]
     if workers <= 1:
-        return [_run_trial(job) for job in jobs]
-    chunk = max(1, trials // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial, jobs, chunksize=chunk))
-
-
-def _regress(pairs: list[tuple[float, float]]) -> RegressionResult:
-    if len(pairs) < 2:
-        return RegressionResult(None, None, None, len(pairs))
-    return linear_regression([a for a, _ in pairs], [b for _, b in pairs])
-
-
-def run_study_c0(
-    n: int,
-    p: float,
-    trials: int,
-    master_seed: int,
-    sih_params: Optional[SihParams] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
-) -> tuple[list[TrialRecord], RegressionResult]:
-    """Fixed p; p_neg uniform per trial; regress final on initial conflicts.
-
-    Trials whose graph came out linkless have undefined ratios and are
-    flagged in the records but excluded from the regression.
-    """
-    records = _run_batch(n, p, None, trials, master_seed, sih_params or SihParams(), max_steps, workers)
-    pairs = [(r.c0, r.c_inf) for r in records if r.c0 is not None and r.c_inf is not None]
-    return records, _regress(pairs)
-
-
-def run_study_density(
-    n: int,
-    p_neg: float,
-    trials: int,
-    master_seed: int,
-    sih_params: Optional[SihParams] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
-) -> tuple[list[TrialRecord], RegressionResult]:
-    """Fixed p_neg; p uniform per trial; regress final conflicts on density."""
-    records = _run_batch(n, None, p_neg, trials, master_seed, sih_params or SihParams(), max_steps, workers)
-    pairs = [(r.rho_link, r.c_inf) for r in records if r.c_inf is not None]
-    return records, _regress(pairs)
-
-
-def run_study_triads(
-    n: int,
-    p: float,
-    p_neg: float,
-    trials: int,
-    master_seed: int,
-    sih_params: Optional[SihParams] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
-) -> tuple[list[TrialRecord], RegressionResult]:
-    """Fixed p and p_neg; regress final conflicts on the triangle count."""
-    records = _run_batch(n, p, p_neg, trials, master_seed, sih_params or SihParams(), max_steps, workers)
-    pairs = [(float(r.n_triad), r.c_inf) for r in records if r.c_inf is not None]
-    return records, _regress(pairs)
+        records = [_run_trial(job) for job in jobs]
+    else:
+        chunk = max(1, trials // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_run_trial, jobs, chunksize=chunk))
+    xs, ys = [], []
+    for r in records:
+        x = r.c0 if p_neg is None else r.rho_link if p is None else float(r.n_triad)
+        if x is not None and r.c_inf is not None:
+            xs.append(x)
+            ys.append(r.c_inf)
+    if len(xs) < 2:
+        return records, RegressionResult(None, None, None, len(xs))
+    return records, linear_regression(xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,7 @@ from balance_lab.experiments import (
     conflict_ratio,
     gen_er_signed,
     link_density,
-    run_study_c0,
-    run_study_density,
-    run_study_triads,
+    run_study,
 )
 from balance_lab.graphs import (
     AppraisalMatrix,
@@ -319,7 +317,7 @@ def test_criterion_09_trend_reproduction():
     # Initial-conflict study: positive slopes, correlation fading with density.
     r_by_p = {}
     for p in (0.2, 0.4, 0.6, 0.7):
-        _, reg = _study_clock(run_study_c0, 8, p, 3000, MASTER_SEED)
+        _, reg = _study_clock(run_study, 8, p, None, 3000, MASTER_SEED)
         assert reg.k is not None and reg.k > 0, f"k({p}) = {reg.k}"
         r_by_p[p] = reg.r
     assert r_by_p[0.2] > r_by_p[0.4] > r_by_p[0.6] > r_by_p[0.7]
@@ -329,7 +327,7 @@ def test_criterion_09_trend_reproduction():
     r_by_pneg = {}
     k_by_pneg = {}
     for p_neg in (0.1, 0.3, 0.7, 0.9):
-        _, reg = _study_clock(run_study_density, 8, p_neg, 3000, MASTER_SEED)
+        _, reg = _study_clock(run_study, 8, None, p_neg, 3000, MASTER_SEED)
         k_by_pneg[p_neg] = reg.k
         r_by_pneg[p_neg] = reg.r
     assert k_by_pneg[0.1] > 0 and k_by_pneg[0.9] < 0
@@ -346,7 +344,7 @@ def test_criterion_09_trend_reproduction():
         (0.7, 0.9): -1,
     }
     for (p, p_neg), sign in expected_signs.items():
-        _, reg = _study_clock(run_study_triads, 8, p, p_neg, 3000, MASTER_SEED)
+        _, reg = _study_clock(run_study, 8, p, p_neg, 3000, MASTER_SEED)
         assert reg.k is not None
         assert math.copysign(1, reg.k) == sign, (
             f"triads slope at p={p}, p_neg={p_neg} was {reg.k}"

@@ -237,6 +237,13 @@ class TestSimulate:
         )
         assert code == EXIT_USAGE
         assert "sum to 1" in capsys.readouterr().err
+        # Off by 5e-10: the library's tolerance decides, with the same message.
+        code = main(
+            ["simulate", "--input", triangle_file, "--p1", "0.5", "--p2", "0.3",
+             "--p3", "0.2000000005"]
+        )
+        assert code == EXIT_USAGE
+        assert "sum to 1" in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -266,6 +273,17 @@ class TestExperimentCommand:
         assert main(["experiment", "--study", "density", "--trials", "5", "--out", str(out)]) == EXIT_USAGE
         assert main(["experiment", "--study", "triads", "--trials", "5", "--p", "0.4", "--out", str(out)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("study, flag", [("c0", "--p-neg"), ("density", "--p")])
+    def test_flag_for_drawn_parameter_is_usage_error(self, tmp_path, capsys, study, flag):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["experiment", "--study", study, "--p", "0.4", "--p-neg", "0.3",
+             "--trials", "4", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: study '{study}' draws {flag} per trial\n"
+        assert not out.exists()
+
     def test_same_seed_identical_csv(self, tmp_path, capsys):
         paths = []
         for run in range(2):
@@ -291,6 +309,7 @@ class TestInputErrors:
             (["simulate", "--n", "5", "--p", "0.5", "--max-steps", "0"], "--max-steps"),
             (["experiment", "--study", "c0", "--p", "0.4", "--n", "1", "--trials", "4"], "--n"),
             (["experiment", "--study", "c0", "--p", "0.4", "--trials", "4", "--max-steps", "0"], "--max-steps"),
+            (["experiment", "--study", "c0", "--p", "0.4", "--trials", "1"], "--trials"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):

@@ -17,9 +17,7 @@ from balance_lab.experiments import (
     gen_er_signed,
     linear_regression,
     link_density,
-    run_study_c0,
-    run_study_density,
-    run_study_triads,
+    run_study,
     study_summary,
 )
 from balance_lab.graphs import AppraisalMatrix, is_bilateral
@@ -139,7 +137,7 @@ class TestLinearRegression:
 
 class TestStudies:
     def test_c0_records_have_consistent_metrics(self):
-        records, reg = run_study_c0(6, 0.5, 40, master_seed=100)
+        records, reg = run_study(6, 0.5, None, 40, master_seed=100)
         assert len(records) == 40
         assert reg.n_points <= 40
         for r in records:
@@ -150,35 +148,35 @@ class TestStudies:
             assert 0.0 <= r.rho_link <= 1.0
 
     def test_density_study_varies_p(self):
-        records, _ = run_study_density(6, 0.2, 30, master_seed=101)
+        records, _ = run_study(6, None, 0.2, 30, master_seed=101)
         assert len({r.er.p for r in records}) > 20
         assert all(r.er.p_neg == 0.2 for r in records)
 
     def test_triads_study_fixes_both(self):
-        records, _ = run_study_triads(6, 0.6, 0.3, 30, master_seed=102)
+        records, _ = run_study(6, 0.6, 0.3, 30, master_seed=102)
         assert all(r.er.p == 0.6 and r.er.p_neg == 0.3 for r in records)
 
     def test_degenerate_two_trials_does_not_crash(self):
-        records, reg = run_study_c0(4, 0.5, 2, master_seed=103)
+        records, reg = run_study(4, 0.5, None, 2, master_seed=103)
         assert len(records) == 2
         assert isinstance(reg, RegressionResult)
 
     def test_zero_link_trials_flagged_and_excluded(self):
-        records, reg = run_study_c0(4, 0.0, 10, master_seed=104)
+        records, reg = run_study(4, 0.0, None, 10, master_seed=104)
         assert all(r.c0 is None and r.c_inf is None for r in records)
         assert reg.n_points == 0 and reg.k is None
 
     def test_constant_triad_count_gives_undefined_slope(self):
-        _, reg = run_study_triads(4, 1.0, 0.5, 10, master_seed=105)
+        _, reg = run_study(4, 1.0, 0.5, 10, master_seed=105)
         assert reg.k is None and reg.r is None
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):
-            run_study_c0(4, 0.5, 1, master_seed=106)
+            run_study(4, 0.5, None, 1, master_seed=106)
 
     def test_deterministic_and_worker_invariant(self, tmp_path):
-        a_records, a_reg = run_study_c0(6, 0.4, 24, master_seed=7, workers=1)
-        b_records, b_reg = run_study_c0(6, 0.4, 24, master_seed=7, workers=2)
+        a_records, a_reg = run_study(6, 0.4, None, 24, master_seed=7, workers=1)
+        b_records, b_reg = run_study(6, 0.4, None, 24, master_seed=7, workers=2)
         assert a_records == b_records and a_reg == b_reg
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         export_csv(a_records, pa)
@@ -191,7 +189,7 @@ class TestStudies:
         from balance_lab.rng import derive_seed
         from balance_lab.dynamics import run_sih
 
-        records, _ = run_study_triads(6, 0.5, 0.5, 10, master_seed=108)
+        records, _ = run_study(6, 0.5, 0.5, 10, master_seed=108)
         for r in records[:5]:
             x0 = gen_er_signed(r.er, derive_seed(r.seed, 1))
             assert link_density(x0) == r.rho_link
@@ -205,15 +203,35 @@ class TestStudies:
         import time
 
         started = time.monotonic()
-        records, reg = run_study_triads(8, 0.4, 0.9, 20_000, master_seed=113)
+        records, reg = run_study(8, 0.4, 0.9, 20_000, master_seed=113)
         elapsed = time.monotonic() - started
         assert len(records) == 20_000
         assert all(r.absorbed for r in records)
         assert reg.n_points > 19_000
         assert elapsed < 300.0, f"triads study took {elapsed:.0f}s"
 
+    @pytest.mark.parametrize(
+        "p, p_neg, column",
+        [(0.5, None, "c0"), (None, 0.3, "rho_link"), (0.5, 0.3, "n_triad")],
+        ids=["c0", "density", "triads"],
+    )
+    def test_regresses_on_the_drawn_parameters_column(self, p, p_neg, column):
+        records, reg = run_study(6, p, p_neg, 30, master_seed=114)
+        pairs = [
+            (float(getattr(r, column)), r.c_inf)
+            for r in records
+            if getattr(r, column) is not None and r.c_inf is not None
+        ]
+        assert len(pairs) >= 2
+        assert reg == linear_regression([x for x, _ in pairs], [y for _, y in pairs])
+        assert reg.k is not None
+
+    def test_drawing_both_parameters_rejected(self):
+        with pytest.raises(ValueError, match="at most one"):
+            run_study(6, None, None, 10, master_seed=115)
+
     def test_summary_shape(self):
-        records, reg = run_study_c0(5, 0.5, 10, master_seed=109)
+        records, reg = run_study(5, 0.5, None, 10, master_seed=109)
         payload = study_summary("c0", records, reg, {"n": 5, "p": 0.5, "p_neg": None})
         assert payload["study"] == "c0"
         assert payload["trials"] == 10
@@ -230,13 +248,13 @@ class TestExportCsv:
         )
 
     def test_three_records_give_four_lines(self, tmp_path):
-        records, _ = run_study_c0(4, 0.5, 3, master_seed=110)
+        records, _ = run_study(4, 0.5, None, 3, master_seed=110)
         path = tmp_path / "three.csv"
         export_csv(records, path)
         assert len(path.read_text().strip().splitlines()) == 4
 
     def test_round_trip_full_precision(self, tmp_path):
-        records, _ = run_study_c0(6, 0.37, 12, master_seed=111)
+        records, _ = run_study(6, 0.37, None, 12, master_seed=111)
         path = tmp_path / "rt.csv"
         export_csv(records, path)
         with open(path, newline="") as handle:
@@ -261,7 +279,7 @@ class TestExportCsv:
             assert row["absorbed"] == ("1" if rec.absorbed else "0")
 
     def test_undefined_cells_written_empty(self, tmp_path):
-        records, _ = run_study_c0(4, 0.0, 3, master_seed=112)
+        records, _ = run_study(4, 0.0, None, 3, master_seed=112)
         path = tmp_path / "undef.csv"
         export_csv(records, path)
         body = path.read_text().strip().splitlines()[1:]
