@@ -9,6 +9,7 @@ output path that cannot be written), 2 input parse, 3 guard refusal,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -90,12 +91,17 @@ def _check_outputs(args) -> None:
     """Refuse an output path that cannot be opened for writing, before any work.
 
     Opens in append mode so nothing is truncated, and removes a file the
-    probe itself created.
+    probe itself created.  Two output flags naming one file are refused too:
+    each flag writes its own file.
     """
+    flags: dict[str, str] = {}
     for flag in ("out", "log", "summary"):
         path = getattr(args, flag, None)
         if path is None:
             continue
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise _UsageError(f"--{other} and --{flag} name the same file {path}")
         existed = os.path.lexists(path)
         try:
             with open(path, "a", encoding="utf-8"):
@@ -131,6 +137,12 @@ def _weights(args, cls, names: tuple[str, ...], **extra):
 
 def _sih_params(args) -> dynamics.SihParams:
     return _weights(args, dynamics.SihParams, ("p1", "p2", "p3"))
+
+
+def _event_writer(handle):
+    """A ``log`` callable for the dynamics: writes each event's line to ``handle`` as it comes."""
+    write = handle.write
+    return lambda event: write(event.to_json_line())
 
 
 def _load_or_generate(args) -> AppraisalMatrix:
@@ -225,17 +237,24 @@ def cmd_equivalence(args) -> int:
 def cmd_simulate(args) -> int:
     x0 = _load_or_generate(args)
     run_seed = derive_seed(args.seed, _TAG_RUN)
-    want_log = args.log is not None
     if args.engine == "sih":
-        record = dynamics.run_sih(x0, _sih_params(args), run_seed, args.max_steps, log=want_log)
+        params = _sih_params(args)
     elif args.engine == "sioh":
         draw = stream(args.seed, _TAG_OPINIONS)
         y0 = tuple(1 if draw.random() < 0.5 else -1 for _ in range(x0.n))
         state0 = dynamics.SiohState(x0, y0)
         params = _weights(args, dynamics.SiohParams, ("q1", "q2", "q3"), sih=_sih_params(args))
-        record = dynamics.run_sioh(state0, params, run_seed, args.max_steps, log=want_log)
-    else:
-        record = dynamics.constructive_sih_sequence(x0)
+    with open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext() as handle:
+        log = _event_writer(handle) if handle else False
+        if args.engine == "sih":
+            record = dynamics.run_sih(x0, params, run_seed, args.max_steps, log=log)
+        elif args.engine == "sioh":
+            record = dynamics.run_sioh(state0, params, run_seed, args.max_steps, log=log)
+        else:
+            record = dynamics.constructive_sih_sequence(x0)
+            if log:
+                for event in record.events:
+                    log(event)
     payload = {
         "engine": args.engine,
         "absorbed": record.absorbed,
@@ -246,10 +265,6 @@ def cmd_simulate(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(format_edge_list(record.final_x), encoding="utf-8")
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as handle:
-            for event in record.events or ():
-                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if record.absorbed else EXIT_NOT_ABSORBED
 

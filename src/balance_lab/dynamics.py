@@ -15,16 +15,20 @@ keeps Python-int bitsets beside the dense rows: common neighbors are a mask
 intersection, and the violation counts behind those structural tests are
 updated with popcounts after every change.  A full structural scan confirms
 each absorption, and the definition-literal equilibrium checks that
-simulate every possible update are kept as slower oracles.  Deterministic constructive sequences reach absorption from any
-start by symmetrizing the zero pattern and then flipping one negative entry
-at a time, driving a count-of-negatives potential strictly down.
+simulate every possible update are kept as slower oracles.  A run can log
+one UpdateEvent per step, either collected into its record or streamed to a
+callable as it is drawn.  Deterministic constructive sequences reach
+absorption from any start by symmetrizing the zero pattern and then
+flipping one negative entry at a time, driving a count-of-negatives
+potential strictly down.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .graphs import AppraisalMatrix
 from .rng import stream
@@ -34,6 +38,7 @@ INFLUENCE = "influence"
 HOMOPHILY = "homophily"
 OPINION_GOSSIP = "opinion-gossip"
 PERSON_OPINION_HOMOPHILY = "person-opinion-homophily"
+MECHANISMS = (SYMMETRY, INFLUENCE, HOMOPHILY, OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY)
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -92,42 +97,49 @@ class SiohState:
         return self.y[self.x.index_of(i)]
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+# One event as a JSON line: keys sorted, ", " and ": " separators, the
+# values filled in as i, j, k ("null" when absent), mechanism, new, old, step.
+_EVENT_LINE = '{"i": %s, "j": %s, "k": %s, "mechanism": "%s", "new": %s, "old": %s, "step": %s}\n'
+
+
+class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
     """One applied update: the pair, the mechanism, and the value change.
 
     ``k`` is the common neighbor and is present exactly for influence and
     homophily.  Opinion gossip changes ``y_i``; every other mechanism
-    changes ``X_ij``.
+    changes ``X_ij``.  An immutable tuple: the constructor checks the
+    mechanism and ``k``, while the kernel, whose events are legal by
+    construction, builds them through the unchecked ``UpdateEvent._make``.
     """
 
-    step: int
-    i: int
-    j: int
-    mechanism: str
-    k: Optional[int]
-    old: int
-    new: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        needs_k = self.mechanism in (INFLUENCE, HOMOPHILY)
-        if needs_k != (self.k is not None):
+    def __new__(
+        cls, step: int, i: int, j: int, mechanism: str, k: Optional[int], old: int, new: int
+    ):
+        if mechanism not in MECHANISMS:
+            raise ValueError(f"unknown mechanism {mechanism!r}")
+        needs_k = mechanism in (INFLUENCE, HOMOPHILY)
+        if needs_k != (k is not None):
             raise ValueError(
-                f"mechanism {self.mechanism!r} "
+                f"mechanism {mechanism!r} "
                 + ("requires" if needs_k else "must not carry")
                 + " a common neighbor"
             )
+        return super().__new__(cls, step, i, j, mechanism, k, old, new)
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "i": self.i,
-            "j": self.j,
-            "mechanism": self.mechanism,
-            "k": self.k,
-            "old": self.old,
-            "new": self.new,
-        }
+        return self._asdict()
+
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)`` plus a newline.
+
+        Filled into one fixed template rather than serialized, so it holds
+        for integer fields and the five mechanism names.  This line format
+        is part of the reproducibility contract of ``simulate --log``.
+        """
+        step, i, j, mechanism, k, old, new = self
+        return _EVENT_LINE % (i, j, "null" if k is None else k, mechanism, new, old, step)
 
 
 @dataclass(frozen=True)
@@ -282,14 +294,14 @@ class _Kernel:
         params: SihParams | SiohParams,
         rng: random.Random,
         max_steps: int,
-        events: Optional[list[UpdateEvent]] = None,
+        emit: Optional[Callable[[UpdateEvent], object]] = None,
         labels: tuple[int, ...] = (),
         first_step: int = 0,
     ) -> tuple[bool, int]:
         """Draw and apply up to ``max_steps`` updates, stopping at absorption.
 
         ``params`` is SihParams for SIH and SiohParams for SIOH.  Returns
-        (absorbed, steps drawn); each draw appends one event to ``events``
+        (absorbed, steps drawn); each draw hands one event to ``emit``
         when given.  The draw order is part of the reproducibility contract:
         pair index, then mechanism, then (for influence and homophily only)
         the index of the common neighbor in increasing node order.  SIOH
@@ -302,6 +314,7 @@ class _Kernel:
             params = params.sih
         p1, p12 = params.p1, params.p1 + params.p2
         randrange, random_ = rng.randrange, rng.random
+        make = UpdateEvent._make
         cands = self.cands
         ncands = len(cands)
         bad_pairs, bad_tris, bad_links = self.bad_pairs, self.bad_tris, self.bad_links
@@ -339,18 +352,9 @@ class _Kernel:
                         mech, new = INFLUENCE, ri[k] * rows[k][j]
                     else:
                         mech, new = HOMOPHILY, ri[k] * rows[j][k]
-            if events is not None:
-                events.append(
-                    UpdateEvent(
-                        first_step + t,
-                        labels[i],
-                        labels[j],
-                        mech,
-                        None if k is None else labels[k],
-                        old,
-                        new,
-                    )
-                )
+            if emit is not None:
+                emit(make((first_step + t, labels[i], labels[j], mech,
+                           None if k is None else labels[k], old, new)))
             t += 1
             if new == old:
                 continue
@@ -403,6 +407,22 @@ class _Kernel:
         return absorbed, t
 
 
+def _event_sink(
+    log: bool | Callable[[UpdateEvent], object],
+) -> tuple[Optional[Callable[[UpdateEvent], object]], Optional[list]]:
+    """The kernel's ``emit`` for a run's ``log`` argument, and the list it fills.
+
+    False gives neither, True collects into a new list, and a callable is
+    handed each event itself.
+    """
+    if callable(log):
+        return log, None
+    if log:
+        events: list[UpdateEvent] = []
+        return events.append, events
+    return None, None
+
+
 def _require_legal_sih(rows, n, i, j, mechanism, k, new) -> None:
     # Re-validate a constructed update against the step preconditions.
     if not (rows[i][j] or rows[j][i]):
@@ -438,7 +458,7 @@ def sih_step(
     if not kernel.cands:
         raise ValueError("no candidate pair: the appraisal network has no links")
     events: list[UpdateEvent] = []
-    kernel.run(params, rng, 1, events, x.labels, step)
+    kernel.run(params, rng, 1, events.append, x.labels, step)
     return _freeze(kernel.rows, x.labels), events[0]
 
 
@@ -472,7 +492,7 @@ def run_sih(
     params: SihParams,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    log: bool = False,
+    log: bool | Callable[[UpdateEvent], object] = False,
 ) -> AbsorptionRecord:
     """Run SIH updates until triad-wise balance or ``max_steps``.
 
@@ -480,15 +500,20 @@ def run_sih(
     kernel's incremental violation counts after every state change and
     confirmed by a full balance scan at the end; hitting ``max_steps``
     without absorbing is reported, not raised.
+
+    ``log=True`` collects one UpdateEvent per step into ``record.events``.
+    A callable ``log`` is instead handed each event as it is drawn, in step
+    order, and ``record.events`` is None; memory then stays flat in the
+    number of steps.  An input that starts absorbed draws no event.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    emit, events = _event_sink(log)
     rng = stream(seed)
     kernel = _Kernel(_row_lists(x0))
     if kernel.absorbed():
-        return AbsorptionRecord(True, 0, x0, None, () if log else None)
-    events: Optional[list[UpdateEvent]] = [] if log else None
-    absorbed, t = kernel.run(params, rng, max_steps, events, x0.labels)
+        return AbsorptionRecord(True, 0, x0, None, None if events is None else ())
+    absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels)
     if absorbed and not _balanced(kernel.rows, x0.n):
         raise RuntimeError("internal error: ledger disagrees with balance scan")
     return AbsorptionRecord(
@@ -599,7 +624,7 @@ def sioh_step(
     if not kernel.cands:
         raise ValueError("no candidate pair: the appraisal network has no links")
     events: list[UpdateEvent] = []
-    kernel.run(params, rng, 1, events, state.x.labels, step)
+    kernel.run(params, rng, 1, events.append, state.x.labels, step)
     return SiohState(_freeze(kernel.rows, state.x.labels), tuple(kernel.y)), events[0]
 
 
@@ -641,17 +666,22 @@ def run_sioh(
     params: SiohParams,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    log: bool = False,
+    log: bool | Callable[[UpdateEvent], object] = False,
 ) -> AbsorptionRecord:
-    """Run SIOH updates until the absorbing alignment or ``max_steps``."""
+    """Run SIOH updates until the absorbing alignment or ``max_steps``.
+
+    ``log`` works as in ``run_sih``: True collects the events into
+    ``record.events``, a callable is handed each event in step order and
+    leaves ``record.events`` None.
+    """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    emit, events = _event_sink(log)
     rng = stream(seed)
     kernel = _Kernel(_row_lists(state0.x), list(state0.y))
     if kernel.absorbed():
-        return AbsorptionRecord(True, 0, state0.x, state0.y, () if log else None)
-    events: Optional[list[UpdateEvent]] = [] if log else None
-    absorbed, t = kernel.run(params, rng, max_steps, events, state0.x.labels)
+        return AbsorptionRecord(True, 0, state0.x, state0.y, None if events is None else ())
+    absorbed, t = kernel.run(params, rng, max_steps, emit, state0.x.labels)
     if absorbed and not _aligned(kernel.rows, kernel.y, state0.x.n):
         raise RuntimeError("internal error: ledger disagrees with alignment scan")
     return AbsorptionRecord(

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from balance_lab import balance, experiments
+from balance_lab import balance, dynamics, experiments
 from balance_lab.cli import (
     EXIT_GUARD,
     EXIT_NOT_ABSORBED,
@@ -298,6 +300,67 @@ class TestExperimentCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestEventLog:
+    """`simulate --log` writes `json.dumps(e.to_dict(), sort_keys=True)` per event, streamed."""
+
+    RUNS = {
+        "sih": ("run_sih", ["--n", "10", "--p", "0.6", "--p-neg", "0.4", "--seed", "5", "--max-steps", "2000"]),
+        "sioh": ("run_sioh", ["--n", "8", "--p", "0.6", "--p-neg", "0.4", "--seed", "7", "--max-steps", "400"]),
+        "constructive": ("constructive_sih_sequence", ["--n", "8", "--p", "0.6", "--p-neg", "0.5", "--seed", "2"]),
+    }
+
+    @pytest.mark.parametrize("engine", list(RUNS))
+    def test_lines_are_json_dumps_of_the_same_run_logged_in_memory(
+        self, tmp_path, monkeypatch, capsys, engine
+    ):
+        name, flags = self.RUNS[engine]
+        original = getattr(dynamics, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, spy)
+        log = tmp_path / "events.jsonl"
+        main(["simulate", "--engine", engine, *flags, "--log", str(log)])
+        (args, kwargs), = calls
+        if engine != "constructive":
+            kwargs = {**kwargs, "log": True}
+        events = original(*args, **kwargs).events
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == len(events)
+        for line, event in zip(lines, events):  # line by line: a whole-file diff is slow
+            assert line == json.dumps(event.to_dict(), sort_keys=True) + "\n"
+        assert any(e.k is None for e in events) and any(e.k is not None for e in events)
+        assert any(e.old < 0 for e in events)
+        if engine == "sioh":
+            assert any(e.mechanism == dynamics.OPINION_GOSSIP for e in events)
+
+    def test_golden_log_bytes(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        code = main(["simulate", "--engine", "sioh", *self.RUNS["sioh"][1], "--log", str(log)])
+        assert code == EXIT_NOT_ABSORBED
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "43af1c1fba6d6a64b60dba4016ba50102ff85cef74c4a5c9ba0c55f4178efe6e"
+        )
+
+    def test_logged_run_memory_stays_flat(self, tmp_path, capsys):
+        # Buffering the events of this run peaked at about 3.6 MB traced.
+        log = tmp_path / "events.jsonl"
+        argv = ["simulate", "--n", "16", "--p", "0.5", "--p-neg", "0.3", "--seed", "3",
+                "--max-steps", "20000", "--log", str(log)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NOT_ABSORBED
+        assert log.read_bytes().count(b"\n") == 20000
+        assert peak < 0.5 * 2**20, peak
+
+
 class TestInputErrors:
     """Out-of-range flags and unreadable inputs end in a code, not a traceback."""
 
@@ -351,6 +414,23 @@ class TestInputErrors:
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "4", "--p", "0.5", "--out", "{file}", "--log", "{dir}/./kept.txt"],
+            ["experiment", "--study", "c0", "--p", "0.4", "--trials", "4",
+             "--out", "{file}", "--summary", "{file}"],
+        ],
+    )
+    def test_two_outputs_naming_one_file_are_usage_error(self, tmp_path, capsys, argv):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept\n")
+        argv = [a.format(dir=tmp_path, file=kept) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "name the same file" in err and len(err.splitlines()) == 1
+        assert kept.read_text() == "kept\n"
 
     def test_one_node_analyze_reports_null_density(self, tmp_path, capsys):
         path = tmp_path / "one.el"

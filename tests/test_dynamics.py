@@ -665,3 +665,78 @@ class TestEventSerialization:
             UpdateEvent(0, 1, 2, SYMMETRY, 3, 0, 1)
         with pytest.raises(ValueError):
             UpdateEvent(0, 1, 2, HOMOPHILY, None, 0, 1)
+
+    def test_json_line_template_matches_json_dumps_for_every_mechanism(self):
+        events = []
+        for mechanism in (SYMMETRY, INFLUENCE, HOMOPHILY, OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY):
+            k = 17 if mechanism in (INFLUENCE, HOMOPHILY) else None
+            for step, i, j, old, new in ((0, 1, 2, -1, 1), (999_999, 31, 4, 0, -1), (5, 10**6, 3, 1, 1)):
+                events.append(UpdateEvent(step, i, j, mechanism, k, old, new))
+        x0 = random_matrix(random.Random(8), 7, p_nonzero=0.7)
+        events += run_sih(x0, SihParams(), seed=3, max_steps=300, log=True).events
+        state0 = SiohState(x0, (1, -1, 1, -1, -1, 1, 1))
+        events += run_sioh(state0, SiohParams(), seed=3, max_steps=300, log=True).events
+        assert {e.mechanism for e in events} == {
+            SYMMETRY, INFLUENCE, HOMOPHILY, OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY
+        }
+        for event in events:
+            assert event.to_json_line() == json.dumps(event.to_dict(), sort_keys=True) + "\n"
+
+    def test_tuple_keeps_fields_equality_and_hashing(self):
+        event = UpdateEvent(3, 1, 2, HOMOPHILY, 4, -1, 1)
+        assert UpdateEvent._fields == ("step", "i", "j", "mechanism", "k", "old", "new")
+        assert (event.step, event.i, event.j, event.mechanism, event.k, event.old, event.new) == (
+            3, 1, 2, HOMOPHILY, 4, -1, 1
+        )
+        assert list(event.to_dict()) == list(UpdateEvent._fields)
+        twin = UpdateEvent._make((3, 1, 2, HOMOPHILY, 4, -1, 1))
+        assert twin == event and hash(twin) == hash(event) and len({twin, event}) == 1
+        assert event != UpdateEvent(3, 1, 2, HOMOPHILY, 4, -1, -1)
+        with pytest.raises(AttributeError):
+            event.new = -1
+
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            UpdateEvent(0, 1, 2, "gossip", None, 0, 1)
+
+
+class TestStreamedLog:
+    """A callable ``log`` gets the events ``log=True`` collects, one call per step."""
+
+    @pytest.mark.parametrize("engine", ["sih", "sioh"])
+    def test_callable_gets_every_event_in_step_order(self, engine):
+        rng = random.Random(12)
+        streamed_steps = 0
+        for seed in range(30):
+            n = rng.randrange(3, 9)
+            x0 = random_matrix(rng, n, p_nonzero=0.6)
+            if engine == "sih":
+                run, start, params = run_sih, x0, SihParams()
+            else:
+                y0 = tuple(rng.choice((-1, 1)) for _ in range(n))
+                run, start, params = run_sioh, SiohState(x0, y0), SiohParams()
+            max_steps = rng.choice((1, 50, 5000))
+            collected = run(start, params, seed, max_steps, log=True)
+            streamed = []
+            record = run(start, params, seed, max_steps, log=streamed.append)
+            assert record.events is None
+            assert len(streamed) == record.steps
+            assert tuple(streamed) == collected.events
+            assert (record.absorbed, record.steps, record.final_x, record.final_y) == (
+                collected.absorbed, collected.steps, collected.final_x, collected.final_y
+            )
+            streamed_steps += record.steps
+        assert streamed_steps > 1000
+
+    def test_absorbed_input_gets_no_call(self):
+        balanced = symmetric(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+        aligned = SiohState(balanced, (1, 1, 1))
+        for record in (
+            run_sih(balanced, SihParams(), seed=1, log=self.fail_on_call),
+            run_sioh(aligned, SiohParams(), seed=1, log=self.fail_on_call),
+        ):
+            assert record.absorbed and record.steps == 0 and record.events is None
+
+    @staticmethod
+    def fail_on_call(event):
+        raise AssertionError(f"unexpected event {event}")

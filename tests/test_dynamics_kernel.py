@@ -2,11 +2,14 @@
 
 ``reference_dynamics`` holds the engines the kernel replaced.  Outputs must
 match exactly: absorption flag, step count, final state and every event,
-which pins the RNG draw order (pair, mechanism, neighbor).  The ledger test
+which pins the RNG draw order (pair, mechanism, neighbor).  A run whose
+``log`` is a callable must hand it the events the reference collects with
+``log=True``, in order, and return no events of its own.  The ledger test
 recounts the kernel's incremental violation counts and bitset views from
 the dense rows after every step.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -48,20 +51,36 @@ def random_opinions(rng, n):
     return tuple(rng.choice((-1, 1)) for _ in range(n))
 
 
+STREAM = "stream"  # log mode: hand each event to a callable
+
+
 def cases(seed, count):
     rng = random.Random(seed)
     for case in range(count):
         n = rng.randrange(2, 11)
         x0 = random_input(rng, n)
         max_steps = rng.choice((1, 2, 7, 60, 20_000))
-        yield rng, case, x0, max_steps, rng.random() < 0.5
+        u = rng.random()
+        yield rng, case, x0, max_steps, False if u < 1 / 3 else True if u < 2 / 3 else STREAM
+
+
+def run_both(run, run_ref, state0, params, case, max_steps, log):
+    """(kernel record, reference record); a streamed run gets its events back in the record."""
+    if log != STREAM:
+        return run(state0, params, case, max_steps, log), run_ref(state0, params, case, max_steps, log)
+    streamed = []
+    got = run(state0, params, case, max_steps, streamed.append)
+    assert got.events is None
+    return (
+        dataclasses.replace(got, events=tuple(streamed)),
+        run_ref(state0, params, case, max_steps, True),
+    )
 
 
 def test_run_sih_matches_reference():
     for rng, case, x0, max_steps, log in cases(101, 250):
         params = rng.choice(SIH_WEIGHTS)
-        got = run_sih(x0, params, case, max_steps, log)
-        want = ref.run_sih(x0, params, case, max_steps, log)
+        got, want = run_both(run_sih, ref.run_sih, x0, params, case, max_steps, log)
         assert got == want, (case, x0.rows, params, max_steps, log)
 
 
@@ -69,8 +88,7 @@ def test_run_sioh_matches_reference():
     for rng, case, x0, max_steps, log in cases(202, 250):
         params = rng.choice(SIOH_WEIGHTS)
         state0 = SiohState(x0, random_opinions(rng, x0.n))
-        got = run_sioh(state0, params, case, max_steps, log)
-        want = ref.run_sioh(state0, params, case, max_steps, log)
+        got, want = run_both(run_sioh, ref.run_sioh, state0, params, case, max_steps, log)
         assert got == want, (case, x0.rows, state0.y, params, max_steps, log)
 
 
