@@ -7,8 +7,9 @@ Two notions of balance for signed appraisal networks are covered:
 * two-faction balance: no negative links at all, or a bipartition with
   non-negative appraisals inside factions and non-positive across.
 
-Cycle-based operations are exact and exponential, so they sit behind a
-small-n guard with an explicit ``force`` override.
+Cycle positivity is decided through the two-faction check (Harary 1953).
+Only cycle enumeration, exact and exponential, sits behind a small-n guard
+with an explicit ``force`` override.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .graphs import (
     UndirectedSkeleton,
     ego_network,
     is_sign_symmetric,
-    skeleton,
 )
 
 Cycle = tuple[int, ...]
@@ -263,26 +263,18 @@ def enumerate_simple_cycles(
     return sorted(_iter_simple_cycles(g, max_len), key=lambda c: (len(c), c))
 
 
-def all_cycles_positive(x: AppraisalMatrix, force: bool = False) -> bool:
+def all_cycles_positive(x: AppraisalMatrix) -> bool:
     """True iff every simple cycle of the skeleton has positive sign.
 
     Requires a sign-symmetric matrix so the undirected cycle sign is
     well-defined; refuses anything else rather than guessing a
-    symmetrization.  Two-node cycles are positive automatically under
-    sign symmetry, so only cycles of length >= 3 are examined.
+    symmetrization.  By Harary's theorem (1953) every cycle of a
+    sign-symmetric network is positive exactly when it splits into two
+    factions, so this is ``detect_two_faction`` in O(n^2) with no guard.
     """
     if not is_sign_symmetric(x):
         raise ValueError("cycle positivity requires a sign-symmetric matrix")
-    sk = skeleton(x)
-    if sk.n > CYCLE_NODE_LIMIT and not force:
-        raise GuardLimitError(
-            f"cycle enumeration refused for n={sk.n} > {CYCLE_NODE_LIMIT}; "
-            "pass force to override"
-        )
-    for cycle in _iter_simple_cycles(sk, None):
-        if cycle_sign(x, cycle) < 0:
-            return False
-    return True
+    return detect_two_faction(x) is not None
 
 
 def all_ego_networks_two_faction(x: AppraisalMatrix) -> bool:

@@ -8,9 +8,10 @@ available in the graph contain a triangulation of its polygon, which an
 O(m^3) interval dynamic program over cycle positions decides.  A skeleton
 on which every maximal cyclic subgraph admits a subchordal covering cycle
 whose chords split nicely guarantees that triad-wise and two-faction
-balance coincide for every sign assignment; this module both certifies that
-condition and verifies the equivalence by exhausting sign assignments on
-small graphs.
+balance coincide for every sign assignment.  This module certifies that
+condition, and decides the equivalence itself exactly by GF(2) elimination
+over the triangle vectors; the exhaustive search over sign assignments on
+small graphs stays as its oracle.
 """
 
 from __future__ import annotations
@@ -378,17 +379,57 @@ def _triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
     return out
 
 
+def _signed(
+    g: UndirectedSkeleton, edges: list[tuple[int, int]], negative: list[int]
+) -> AppraisalMatrix:
+    # Sign-symmetric matrix on g: edges[t] is -1 where negative[t] is truthy, else +1.
+    pos = {v: a for a, v in enumerate(g.nodes)}
+    rows = [[0] * g.n for _ in range(g.n)]
+    for (u, v), neg in zip(edges, negative):
+        rows[pos[u]][pos[v]] = rows[pos[v]][pos[u]] = -1 if neg else 1
+    return AppraisalMatrix(tuple(tuple(r) for r in rows), g.nodes)
+
+
 def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:
     """A sign-symmetric assignment that is triad-wise but not two-faction balanced.
 
-    Backtracks over edge signs, pruning any branch that closes a negative
-    triangle, so only triad-wise balanced assignments reach a leaf; each
-    leaf is then tested for a two-faction witness.  Returns None when every
-    triad-wise balanced assignment on ``g`` is two-faction balanced, which
-    is exactly when the two balance notions coincide on this skeleton
-    (asymmetric assignments fail both notions at once, so symmetric ones
-    decide the question).
+    Signs are GF(2) bits over ``sorted(g.edges)`` (negative = 1): triad-wise
+    balanced assignments form the null space of the triangle vectors, and
+    two-faction balanced ones its cut subspace (Harary 1953).  With the
+    triangle vectors fully reduced on their highest edge index, the null
+    vector of a free edge ``f`` has no set bit before ``f``, so the last
+    free edge whose null vector lacks a two-faction witness gives the
+    lexicographically first separating assignment (edges in order, plus
+    before minus), the one the exhaustive search returns.  None when every null vector,
+    hence their span, has a witness: the notions then coincide on ``g``
+    (asymmetric assignments fail both).  Polynomial, no guard.
     """
+    edges = sorted(g.edges)
+    index = {e: t for t, e in enumerate(edges)}
+    rows: dict[int, int] = {}  # pivot (highest edge index) -> reduced triangle combination
+    for a, b, c in _triangles(g):
+        v = 1 << index[_pair(a, b)] | 1 << index[_pair(a, c)] | 1 << index[_pair(b, c)]
+        while v and v.bit_length() - 1 in rows:
+            v ^= rows[v.bit_length() - 1]
+        if v:
+            rows[v.bit_length() - 1] = v
+    for p in sorted(rows):
+        for q in rows:
+            if q > p and rows[q] >> p & 1:
+                rows[q] ^= rows[p]
+    for f in reversed(range(len(edges))):
+        if f in rows:
+            continue
+        null = 1 << f | sum(1 << p for p, row in rows.items() if row >> f & 1)
+        x = _signed(g, edges, [null >> t & 1 for t in range(len(edges))])
+        if detect_two_faction(x) is None:
+            return x
+    return None
+
+
+def _exhaustive_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:
+    # Literal oracle: backtracks over edge signs (+ before -), pruning any branch
+    # that closes a negative triangle; returns the first leaf with no witness.
     edges = sorted(g.edges)
     if len(edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise GuardLimitError(
@@ -403,17 +444,9 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
         closing[hi].append((mid, lo))
     signs = [0] * len(edges)
 
-    def matrix() -> AppraisalMatrix:
-        pos = {v: a for a, v in enumerate(g.nodes)}
-        rows = [[0] * g.n for _ in range(g.n)]
-        for e, s in zip(edges, signs):
-            a, b = pos[e[0]], pos[e[1]]
-            rows[a][b] = rows[b][a] = s
-        return AppraisalMatrix(tuple(tuple(r) for r in rows), g.nodes)
-
     def search(t: int) -> Optional[AppraisalMatrix]:
         if t == len(edges):
-            x = matrix()
+            x = _signed(g, edges, [s < 0 for s in signs])
             return x if detect_two_faction(x) is None else None
         for s in (1, -1):
             signs[t] = s
@@ -428,5 +461,9 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
 
 
 def verify_equivalence_exhaustive(g: UndirectedSkeleton) -> bool:
-    """True iff triad-wise and two-faction balance agree on every assignment."""
-    return equivalence_counterexample(g) is None
+    """True iff triad-wise and two-faction balance agree on every assignment.
+
+    The literal backtracking search, kept as the oracle for
+    ``equivalence_counterexample``; refuses above ``EXHAUSTIVE_EDGE_LIMIT`` edges.
+    """
+    return _exhaustive_counterexample(g) is None

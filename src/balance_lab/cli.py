@@ -190,7 +190,7 @@ def cmd_analyze(args) -> int:
     }
     if args.all_cycles:
         try:
-            report["all_cycles_positive"] = balance.all_cycles_positive(x, force=args.force)
+            report["all_cycles_positive"] = balance.all_cycles_positive(x)
         except ValueError as exc:
             sys.stderr.write(f"refused: {exc}\n")
             return EXIT_GUARD
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="static balance report for one graph")
     analyze.add_argument("--input", required=True, help="edge-list file")
     analyze.add_argument("--all-cycles", action="store_true", help="also check cycle positivity")
-    analyze.add_argument("--force", action="store_true", help="override size guards")
     analyze.add_argument("--out", default=None, help="also write the JSON report here")
 
     equivalence = sub.add_parser(

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton
+from balance_lab.balance import cycle_sign, enumerate_simple_cycles
+from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, skeleton
 
 
 # Seven-node chordal graph: pentagon (3,4,5,6,7) with chords {3,5}, {3,6},
@@ -120,3 +121,8 @@ def random_connected_skeleton(rng: random.Random, n: int, extra_p: float = 0.3) 
             if (i, j) not in pairs and rng.random() < extra_p:
                 pairs.add((i, j))
     return UndirectedSkeleton.from_edges(n, pairs)
+
+
+def cycles_positive_by_enumeration(x: AppraisalMatrix) -> bool:
+    """Oracle: every simple cycle of the skeleton, enumerated, has positive sign."""
+    return all(cycle_sign(x, c) > 0 for c in enumerate_simple_cycles(skeleton(x)))

@@ -65,6 +65,7 @@ from conftest import (
     GRAPH2_EDGES,
     PENTAGON,
     cycle_skeleton,
+    cycles_positive_by_enumeration,
     planted_two_faction_matrix,
     random_connected_skeleton,
     random_connected_symmetric,
@@ -243,7 +244,8 @@ def test_criterion_06_cycle_positivity_cross_oracle():
         else:
             x = random_connected_symmetric(rng, n, extra_p=rng.uniform(0.1, 0.5))
         two_faction = detect_two_faction(x) is not None
-        assert two_faction == all_cycles_positive(x)
+        assert two_faction == cycles_positive_by_enumeration(x)
+        assert all_cycles_positive(x) == two_faction
         positive_cases += two_faction
     assert 0 < positive_cases < 1000
     report(6, f"1000 connected graphs, 0 disagreements ({positive_cases} balanced)")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from balance_lab.balance import (
     ASYMMETRIC_PAIR,
+    CYCLE_NODE_LIMIT,
     NEGATIVE_TRIAD,
     NO_NEGATIVE_LINKS,
     TWO_FACTION,
@@ -26,6 +27,7 @@ from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, ego_network,
 from conftest import (
     complete_skeleton,
     cycle_skeleton,
+    cycles_positive_by_enumeration,
     planted_two_faction_matrix,
     random_connected_symmetric,
     random_matrix,
@@ -260,7 +262,8 @@ class TestAllCyclesPositive:
             all_cycles_positive(x)
 
     def test_cross_oracle_with_two_faction_detection(self):
-        # On connected sign-symmetric inputs the two checks must agree.
+        # On connected sign-symmetric inputs both checks must agree with the
+        # sign of every enumerated cycle.
         rng = random.Random(17)
         agreements = {True: 0, False: 0}
         for trial in range(150):
@@ -270,10 +273,18 @@ class TestAllCyclesPositive:
                     continue
             else:
                 x = random_connected_symmetric(rng, rng.randrange(3, 8))
-            result = detect_two_faction(x) is not None
-            assert result == all_cycles_positive(x)
+            result = cycles_positive_by_enumeration(x)
+            assert (detect_two_faction(x) is not None) == result
+            assert all_cycles_positive(x) == result
             agreements[result] += 1
         assert agreements[True] > 0 and agreements[False] > 0
+
+    def test_answers_above_the_cycle_enumeration_guard(self):
+        ring = [(i, i % 40 + 1, -1 if i == 1 else 1) for i in range(1, 41)]
+        assert not all_cycles_positive(symmetric(40, ring))
+        planted = planted_two_faction_matrix(random.Random(19), 40)
+        assert skeleton(planted).n > CYCLE_NODE_LIMIT
+        assert all_cycles_positive(planted)
 
 
 class TestEgoNetworkBalance:

@@ -24,7 +24,8 @@ from balance_lab.chordal import (
     split_by_chord,
     verify_equivalence_exhaustive,
 )
-from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, induced_subgraph
+from balance_lab import chordal
+from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, induced_subgraph, skeleton
 
 from conftest import (
     PENTAGON,
@@ -491,3 +492,106 @@ class TestExhaustiveVerification:
                     expected = False
                     break
             assert verify_equivalence_exhaustive(g) == expected
+
+
+CHORDED_TEN_RING = UndirectedSkeleton.from_edges(
+    10,
+    [(i, i % 10 + 1) for i in range(1, 11)] + [(1, 3), (3, 5), (5, 7), (7, 9), (1, 9)],
+)
+
+
+def random_small_skeleton(rng: random.Random, kind: str) -> UndirectedSkeleton:
+    """At most 14 edges on 3..9 nodes: any density, a tree, or bipartite (triangle-free)."""
+    n = rng.randrange(3, 10)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if kind == "tree":
+        edges = [(rng.randrange(1, v), v) for v in range(2, n + 1)]
+    elif kind == "bipartite":
+        side = {v: rng.randrange(2) for v in range(1, n + 1)}
+        edges = [(i, j) for i, j in pairs if side[i] != side[j] and rng.random() < 0.7]
+    else:
+        p = rng.random()
+        edges = [e for e in pairs if rng.random() < p]
+    rng.shuffle(edges)
+    return UndirectedSkeleton.from_edges(n, edges[:14])
+
+
+def triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
+    """Every triangle once, as sorted nodes."""
+    return [
+        (a, b, c) for a, b in sorted(g.edges) for c in g.neighbors(b) if c > b and g.has_edge(a, c)
+    ]
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of int bit vectors, eliminating on the lowest set bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    return len(basis)
+
+
+def assert_separating(g: UndirectedSkeleton, x: AppraisalMatrix) -> None:
+    assert skeleton(x) == g
+    assert all(abs(s) == 1 for _, _, s in x.nonzero_links())
+    assert is_triad_wise_balanced(x)[0]
+    assert detect_two_faction(x) is None
+
+
+class TestEliminationCounterexample:
+    def test_equals_exhaustive_search_on_small_skeletons(self):
+        rng = random.Random(71)
+        kinds = ("none", "found", "disconnected", "isolated", "tree", "triangle-free")
+        tally = dict.fromkeys(kinds, 0)
+        for trial in range(1200):
+            kind = ("any", "any", "tree", "bipartite")[trial % 4]
+            g = random_small_skeleton(rng, kind)
+            assert len(g.edges) <= chordal.EXHAUSTIVE_EDGE_LIMIT
+            x = equivalence_counterexample(g)
+            assert x == chordal._exhaustive_counterexample(g), sorted(g.edges)
+            tally["none" if x is None else "found"] += 1
+            tally["disconnected"] += not g.is_connected()
+            tally["isolated"] += any(not g.neighbors(v) for v in g.nodes)
+            tally["tree"] += kind == "tree"
+            tally["triangle-free"] += not triangles(g)
+        assert min(tally.values()) >= 100, tally
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_complete_graphs_above_edge_guard_have_none(self, n):
+        assert len(complete_skeleton(n).edges) > chordal.EXHAUSTIVE_EDGE_LIMIT
+        assert equivalence_counterexample(complete_skeleton(n)) is None
+
+    def test_chorded_ten_ring_above_edge_guard(self):
+        assert len(CHORDED_TEN_RING.edges) == 15
+        x = equivalence_counterexample(CHORDED_TEN_RING)
+        assert x is not None
+        assert_separating(CHORDED_TEN_RING, x)
+
+    def test_valid_on_larger_random_skeletons(self):
+        # Above the search's reach: a returned assignment must separate the
+        # two notions, and None must mean the triangles span the cycle
+        # space (rank m - n + c, by Harary's theorem).
+        rng = random.Random(73)
+        outcomes = {True: 0, False: 0}
+        for _ in range(100):
+            n = rng.randrange(10, 41)
+            p = rng.uniform(1.0, 16.0) / n
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            g = UndirectedSkeleton.from_edges(n, [e for e in pairs if rng.random() < p])
+            x = equivalence_counterexample(g)
+            index = {e: t for t, e in enumerate(sorted(g.edges))}
+            rank = gf2_rank(
+                1 << index[(a, b)] | 1 << index[(a, c)] | 1 << index[(b, c)]
+                for a, b, c in triangles(g)
+            )
+            spans = rank == len(g.edges) - g.n + nx.number_connected_components(to_nx(g))
+            assert (x is None) == spans
+            if x is not None:
+                assert_separating(g, x)
+            outcomes[spans] += 1
+        assert min(outcomes.values()) >= 20, outcomes

@@ -16,7 +16,7 @@ from balance_lab.cli import (
     EXIT_USAGE,
     main,
 )
-from balance_lab.graphs import parse_edge_list, read_edge_list
+from balance_lab.graphs import AppraisalMatrix, parse_edge_list, read_edge_list
 
 POSITIVE_TRIANGLE = "n 3\n1 2 1\n2 1 1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
 ONE_NEGATIVE_TRIANGLE = "n 3\n1 2 -1\n2 1 -1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
@@ -61,13 +61,13 @@ class TestAnalyze:
         assert kinds == {"negative-triad"}
         assert all(sorted(v["nodes"]) == [1, 2, 3] for v in report["violations"])
 
-    def test_cycle_guard_requires_force(self, tmp_path, capsys):
+    def test_all_cycles_answers_without_guard_or_force(self, tmp_path, capsys):
         path = ring_file(tmp_path, 20)
-        assert main(["analyze", "--input", path, "--all-cycles"]) == EXIT_GUARD
-        assert "refused" in capsys.readouterr().err
-        assert main(["analyze", "--input", path, "--all-cycles", "--force"]) == EXIT_OK
+        assert main(["analyze", "--input", path, "--all-cycles"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["all_cycles_positive"] is True
+        assert main(["analyze", "--input", path, "--all-cycles", "--force"]) == EXIT_USAGE
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_cycle_check_refuses_sign_asymmetric_input(self, tmp_path, capsys):
         path = tmp_path / "asym.el"
@@ -129,6 +129,39 @@ class TestEquivalence:
         x = AppraisalMatrix.from_edge_list(4, entries)
         assert balance.is_triad_wise_balanced(x)[0]
         assert balance.detect_two_faction(x) is None
+
+    def test_exhaustive_on_k6_without_edge_guard(self, tmp_path, capsys):
+        path = tmp_path / "k6.el"
+        links = [f"{i} {j} 1" for i in range(1, 7) for j in range(1, 7) if i != j]
+        path.write_text("n 6\n" + "\n".join(links) + "\n")
+        assert main(["equivalence", "--input", str(path), "--verify-exhaustive"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["exhaustive"] == {"equivalence_holds": True, "counterexample": None}
+
+    def test_exhaustive_counterexample_on_chorded_ten_ring(self, tmp_path, capsys):
+        # 15 edges: the inner pentagon 1-3-5-7-9 is a chordless cycle.
+        pairs = [(i, i % 10 + 1) for i in range(1, 11)] + [(1, 3), (3, 5), (5, 7), (7, 9), (1, 9)]
+        path = tmp_path / "ring10.el"
+        path.write_text("n 10\n" + "".join(f"{i} {j} 1\n{j} {i} 1\n" for i, j in pairs))
+        assert main(["equivalence", "--input", str(path), "--verify-exhaustive"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["exhaustive"]["equivalence_holds"] is False
+        counterexample = report["exhaustive"]["counterexample"]
+        assert sorted([i, j] for i, j, _ in counterexample) == report["edges"]
+        assert report["edges"] == sorted(sorted(e) for e in pairs)
+        assert all(s in (-1, 1) for _, _, s in counterexample)
+        x = AppraisalMatrix.from_edge_list(
+            10, [link for i, j, s in counterexample for link in ((i, j, s), (j, i, s))]
+        )
+        assert balance.is_triad_wise_balanced(x)[0]
+        assert balance.detect_two_faction(x) is None
+
+    def test_cycle_enumeration_guard_requires_force(self, tmp_path, capsys):
+        path = ring_file(tmp_path, 13)
+        assert main(["equivalence", "--input", path]) == EXIT_GUARD
+        assert "refused" in capsys.readouterr().err
+        assert main(["equivalence", "--input", path, "--force"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["conditions_hold"] is False
 
     def test_k9_conditions_hold_without_chord_guard(self, tmp_path, capsys):
         # 27 chords on every covering cycle; the subchordality test has no guard.
