@@ -135,6 +135,13 @@ def _weights(args, cls, names: tuple[str, ...], **extra):
         raise _UsageError(str(exc)) from None
 
 
+def _refuse(args, names: tuple[str, ...], why: str) -> None:
+    """Refuse the first of the flags ``names`` that was given rather than ignore it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} {why}")
+
+
 def _sih_params(args) -> dynamics.SihParams:
     return _weights(args, dynamics.SihParams, ("p1", "p2", "p3"))
 
@@ -235,6 +242,12 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.input:
+        _refuse(args, ("n", "p", "p_neg"), "applies only without --input")
+    if args.engine != "sioh":
+        _refuse(args, ("q1", "q2", "q3"), "applies only to --engine sioh")
+    if args.engine == "constructive":
+        _refuse(args, ("p1", "p2", "p3"), "does not apply to --engine constructive")
     x0 = _load_or_generate(args)
     run_seed = derive_seed(args.seed, _TAG_RUN)
     if args.engine == "sih":

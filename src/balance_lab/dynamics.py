@@ -9,18 +9,21 @@ The SIOH dynamics add a +-1 opinion per node and interleave opinion gossip
 and person-opinion homophily with embedded SIH updates.
 
 Absorbing states coincide with triad-wise balance (SIH) and with
-sign-symmetric matrices whose links equal the opinion products (SIOH).  Both
-processes, and their single-step functions, run on one private kernel that
-keeps Python-int bitsets beside the dense rows: common neighbors are a mask
-intersection, and the violation counts behind those structural tests are
-updated with popcounts after every change.  A full structural scan confirms
-each absorption, and the definition-literal equilibrium checks that
-simulate every possible update are kept as slower oracles.  A run can log
-one UpdateEvent per step, either collected into its record or streamed to a
-callable as it is drawn.  Deterministic constructive sequences reach
-absorption from any start by symmetrizing the zero pattern and then
-flipping one negative entry at a time, driving a count-of-negatives
-potential strictly down.
+sign-symmetric matrices whose links equal the opinion products (SIOH).
+Runs, single steps and constructive sequences each have one private body
+shared by both processes; an opinion vector, or None for SIH, tells them
+apart.  Runs and steps go through one private kernel that keeps Python-int
+bitsets beside the dense rows: common neighbors are a mask intersection,
+and the violation counts behind those structural tests are updated with
+popcounts after every change.  A full structural scan confirms every
+absorbed result, one absorbed at step 0 included, and the
+definition-literal equilibrium checks that simulate every possible update
+are kept as slower oracles.  A run can log one UpdateEvent per step,
+either collected into its record or streamed to a callable as it is drawn.
+Deterministic constructive sequences reach absorption from any start by
+symmetrizing the zero pattern and then applying one legal fix at a time,
+each re-validated against the step preconditions, driving a
+count-of-negatives potential strictly down.
 """
 
 from __future__ import annotations
@@ -407,36 +410,127 @@ class _Kernel:
         return absorbed, t
 
 
-def _event_sink(
-    log: bool | Callable[[UpdateEvent], object],
-) -> tuple[Optional[Callable[[UpdateEvent], object]], Optional[list]]:
-    """The kernel's ``emit`` for a run's ``log`` argument, and the list it fills.
-
-    False gives neither, True collects into a new list, and a callable is
-    handed each event itself.
-    """
-    if callable(log):
-        return log, None
-    if log:
-        events: list[UpdateEvent] = []
-        return events.append, events
-    return None, None
+def _absorbing(rows: list[list[int]], y: Optional[list[int]], n: int) -> bool:
+    # The structural scan: triad-wise balance for SIH (y None), alignment for SIOH.
+    return _balanced(rows, n) if y is None else _aligned(rows, y, n)
 
 
-def _require_legal_sih(rows, n, i, j, mechanism, k, new) -> None:
-    # Re-validate a constructed update against the step preconditions.
+def _require_legal(rows, y, i, j, mechanism, k, new) -> None:
+    # Re-validate a constructed update against the step preconditions.  The
+    # opinion mechanisms exist only when the opinions ``y`` are given, and
+    # SIOH answers a zero X_ij with symmetry alone.
     if not (rows[i][j] or rows[j][i]):
         raise RuntimeError("illegal update: pair carries no link")
+    if y is not None and not rows[i][j] and mechanism != SYMMETRY:
+        raise RuntimeError(f"illegal update: {mechanism} on a zero entry")
     if mechanism == SYMMETRY:
         expected = rows[j][i]
     elif mechanism in (INFLUENCE, HOMOPHILY):
         if k is None or k in (i, j) or not (rows[i][k] and rows[j][k]):
             raise RuntimeError("illegal update: invalid common neighbor")
         expected = rows[i][k] * (rows[k][j] if mechanism == INFLUENCE else rows[j][k])
+    elif mechanism in (OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY) and y is not None:
+        expected = rows[i][j] * y[j] if mechanism == OPINION_GOSSIP else y[i] * y[j]
     else:
-        raise RuntimeError(f"illegal update: unknown mechanism {mechanism!r}")
+        raise RuntimeError(f"illegal update: no mechanism {mechanism!r} in this process")
     if new != expected:
         raise RuntimeError("illegal update: value does not match mechanism")
+
+
+def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
+    """The body of ``run_sih`` (``y0`` None) and ``run_sioh`` (``y0`` the opinions)."""
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    # False logs nothing, True collects into ``events``, a callable is handed each event.
+    events: Optional[list[UpdateEvent]] = None
+    if callable(log):
+        emit = log
+    elif log:
+        events = []
+        emit = events.append
+    else:
+        emit = None
+    rng = stream(seed)
+    kernel = _Kernel(_row_lists(x0), None if y0 is None else list(y0))
+    absorbed, t = True, 0
+    if not kernel.absorbed():
+        absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels)
+    if absorbed and not _absorbing(kernel.rows, kernel.y, x0.n):
+        scan = "balance" if y0 is None else "alignment"
+        raise RuntimeError(f"internal error: ledger disagrees with {scan} scan")
+    return AbsorptionRecord(
+        absorbed,
+        t,
+        _freeze(kernel.rows, x0.labels),
+        None if y0 is None else tuple(kernel.y),
+        None if events is None else tuple(events),
+    )
+
+
+def _step(x, y, params, rng, step) -> tuple[AppraisalMatrix, Optional[tuple], UpdateEvent]:
+    """The body of ``sih_step`` (``y`` None) and ``sioh_step``: (x, y, event) after one draw."""
+    kernel = _Kernel(_row_lists(x), None if y is None else list(y))
+    if not kernel.cands:
+        raise ValueError("no candidate pair: the appraisal network has no links")
+    events: list[UpdateEvent] = []
+    kernel.run(params, rng, 1, events.append, x.labels, step)
+    return _freeze(kernel.rows, x.labels), None if y is None else tuple(kernel.y), events[0]
+
+
+def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
+    """The body of both constructive sequences (``y0`` None for SIH).
+
+    Phase 1 copies the nonzero side of every half-directed pair (symmetry);
+    fixes never create new half pairs, so one sweep suffices.  Phase 2
+    applies, until none is left, the minus side of the first (-1, +1) pair
+    by symmetry, or else ``next_fix(rows, y, n)``: an update
+    ``(i, j, mechanism, k, new)`` or None.  Every update is re-validated
+    against the step preconditions before it is recorded and written.
+    """
+    rows = _row_lists(x0)
+    y = None if y0 is None else list(y0)
+    n, labels = x0.n, x0.labels
+    events: list[UpdateEvent] = []
+
+    def apply(i: int, j: int, mech: str, k: Optional[int], new: int) -> None:
+        _require_legal(rows, y, i, j, mech, k, new)
+        gossip = mech == OPINION_GOSSIP
+        events.append(
+            UpdateEvent(
+                len(events), labels[i], labels[j], mech, None if k is None else labels[k],
+                y[i] if gossip else rows[i][j], new,
+            )
+        )
+        if gossip:
+            y[i] = new
+        else:
+            rows[i][j] = new
+
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] == 0 and rows[j][i] != 0:
+                apply(i, j, SYMMETRY, None, rows[j][i])
+
+    while True:
+        fix = next(
+            (
+                (i, j, SYMMETRY, None, 1)
+                for i in range(n)
+                for j in range(n)
+                if i != j and rows[i][j] == -1 and rows[j][i] == 1
+            ),
+            None,
+        ) or next_fix(rows, y, n)
+        if fix is None:
+            break
+        apply(*fix)
+
+    if not _absorbing(rows, y, n):
+        ended = "unbalanced" if y is None else "unaligned"
+        raise RuntimeError(f"internal error: constructive sequence ended {ended}")
+    return AbsorptionRecord(
+        True, len(events), _freeze(rows, labels), None if y is None else tuple(y), tuple(events)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +548,8 @@ def sih_step(
     x: AppraisalMatrix, params: SihParams, rng: random.Random, step: int = 0
 ) -> tuple[AppraisalMatrix, UpdateEvent]:
     """One SIH update; raises when the network has no link to act on."""
-    kernel = _Kernel(_row_lists(x))
-    if not kernel.cands:
-        raise ValueError("no candidate pair: the appraisal network has no links")
-    events: list[UpdateEvent] = []
-    kernel.run(params, rng, 1, events.append, x.labels, step)
-    return _freeze(kernel.rows, x.labels), events[0]
+    x1, _, event = _step(x, None, params, rng, step)
+    return x1, event
 
 
 def is_sih_equilibrium(x: AppraisalMatrix) -> bool:
@@ -506,23 +596,7 @@ def run_sih(
     order, and ``record.events`` is None; memory then stays flat in the
     number of steps.  An input that starts absorbed draws no event.
     """
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    emit, events = _event_sink(log)
-    rng = stream(seed)
-    kernel = _Kernel(_row_lists(x0))
-    if kernel.absorbed():
-        return AbsorptionRecord(True, 0, x0, None, None if events is None else ())
-    absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels)
-    if absorbed and not _balanced(kernel.rows, x0.n):
-        raise RuntimeError("internal error: ledger disagrees with balance scan")
-    return AbsorptionRecord(
-        absorbed,
-        t,
-        _freeze(kernel.rows, x0.labels),
-        None,
-        tuple(events) if events is not None else None,
-    )
+    return _run(x0, None, params, seed, max_steps, log)
 
 
 def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
@@ -536,65 +610,23 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
     agree.  Each phase-2 flip lowers the negative-entry count by exactly
     one, so the sequence terminates in fewer than n(n-1) phase-2 steps.
     """
-    rows = _row_lists(x0)
-    n = x0.n
-    labels = x0.labels
-    events: list[UpdateEvent] = []
-    t = 0
+    return _constructive(x0, None, _sih_fix)
 
-    def apply(i: int, j: int, mech: str, k: Optional[int], new: int) -> None:
-        nonlocal t
-        _require_legal_sih(rows, n, i, j, mech, k, new)
-        events.append(
-            UpdateEvent(
-                t, labels[i], labels[j], mech, None if k is None else labels[k],
-                rows[i][j], new,
-            )
-        )
-        rows[i][j] = new
-        t += 1
 
-    # Phase 1: fixes never create new half pairs, so one sweep suffices.
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] == 0 and rows[j][i] != 0:
-                apply(i, j, SYMMETRY, None, rows[j][i])
-
-    # Phase 2.
-    while True:
-        pick = next(
-            (
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if i != j and rows[i][j] == -1 and rows[j][i] == 1
-            ),
-            None,
-        )
-        if pick is not None:
-            apply(pick[0], pick[1], SYMMETRY, None, 1)
-            continue
-        # Matrix is sign-symmetric here; look for a fixable negative pair.
-        found = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] == -1 and rows[j][i] == -1:
-                    for k in range(n):
-                        if k != i and k != j and rows[i][k] * rows[j][k] == 1:
-                            found = (i, j, k)
-                            break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        i, j, k = found
-        apply(i, j, HOMOPHILY, k, rows[i][k] * rows[j][k])
-
-    if not _balanced(rows, n):
-        raise RuntimeError("internal error: constructive sequence ended unbalanced")
-    return AbsorptionRecord(True, t, _freeze(rows, labels), None, tuple(events))
+def _sih_fix(rows, y, n):
+    # On a sign-symmetric matrix: one direction of a negative pair whose
+    # common neighbor has agreeing pair signs, flipped by homophily.
+    return next(
+        (
+            (i, j, HOMOPHILY, k, 1)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rows[i][j] == -1 and rows[j][i] == -1
+            for k in range(n)
+            if k != i and k != j and rows[i][k] * rows[j][k] == 1
+        ),
+        None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,30 +634,12 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
 # ---------------------------------------------------------------------------
 
 
-def _require_legal_sioh(rows, y, n, i, j, mechanism, k, new) -> None:
-    if not (rows[i][j] or rows[j][i]):
-        raise RuntimeError("illegal update: pair carries no link")
-    if mechanism == OPINION_GOSSIP:
-        if rows[i][j] == 0 or new != rows[i][j] * y[j]:
-            raise RuntimeError("illegal opinion-gossip update")
-    elif mechanism == PERSON_OPINION_HOMOPHILY:
-        if rows[i][j] == 0 or new != y[i] * y[j]:
-            raise RuntimeError("illegal person-opinion homophily update")
-    else:
-        # Outer symmetry when X_ij = 0, or any embedded SIH mechanism.
-        _require_legal_sih(rows, n, i, j, mechanism, k, new)
-
-
 def sioh_step(
     state: SiohState, params: SiohParams, rng: random.Random, step: int = 0
 ) -> tuple[SiohState, UpdateEvent]:
     """One SIOH update; raises when the network has no link to act on."""
-    kernel = _Kernel(_row_lists(state.x), list(state.y))
-    if not kernel.cands:
-        raise ValueError("no candidate pair: the appraisal network has no links")
-    events: list[UpdateEvent] = []
-    kernel.run(params, rng, 1, events.append, state.x.labels, step)
-    return SiohState(_freeze(kernel.rows, state.x.labels), tuple(kernel.y)), events[0]
+    x1, y1, event = _step(state.x, state.y, params, rng, step)
+    return SiohState(x1, y1), event
 
 
 def is_sioh_equilibrium(state: SiohState) -> bool:
@@ -674,23 +688,7 @@ def run_sioh(
     ``record.events``, a callable is handed each event in step order and
     leaves ``record.events`` None.
     """
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    emit, events = _event_sink(log)
-    rng = stream(seed)
-    kernel = _Kernel(_row_lists(state0.x), list(state0.y))
-    if kernel.absorbed():
-        return AbsorptionRecord(True, 0, state0.x, state0.y, None if events is None else ())
-    absorbed, t = kernel.run(params, rng, max_steps, emit, state0.x.labels)
-    if absorbed and not _aligned(kernel.rows, kernel.y, state0.x.n):
-        raise RuntimeError("internal error: ledger disagrees with alignment scan")
-    return AbsorptionRecord(
-        absorbed,
-        t,
-        _freeze(kernel.rows, state0.x.labels),
-        tuple(kernel.y),
-        tuple(events) if events is not None else None,
-    )
+    return _run(state0.x, state0.y, params, seed, max_steps, log)
 
 
 def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
@@ -702,70 +700,28 @@ def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
     opinion by opinion gossip.  Each fix lowers the combined count of
     negative entries and negative opinions by exactly one.
     """
-    rows = _row_lists(state0.x)
-    y = list(state0.y)
-    n = state0.x.n
-    labels = state0.x.labels
-    events: list[UpdateEvent] = []
-    t = 0
+    return _constructive(state0.x, state0.y, _sioh_fix)
 
-    def apply(i, j, mech, k, new):
-        nonlocal t
-        _require_legal_sioh(rows, y, n, i, j, mech, k, new)
-        old = y[i] if mech == OPINION_GOSSIP else rows[i][j]
-        events.append(
-            UpdateEvent(
-                t, labels[i], labels[j], mech, None if k is None else labels[k],
-                old, new,
-            )
-        )
-        if mech == OPINION_GOSSIP:
-            y[i] = new
-        else:
-            rows[i][j] = new
-        t += 1
 
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] == 0 and rows[j][i] != 0:
-                apply(i, j, SYMMETRY, None, rows[j][i])
-
-    while True:
-        step_done = False
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] == -1 and rows[j][i] == 1:
-                    apply(i, j, SYMMETRY, None, 1)
-                    step_done = True
-                    break
-            if step_done:
-                break
-        if step_done:
-            continue
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] == -1 and y[i] * y[j] == 1:
-                    apply(i, j, PERSON_OPINION_HOMOPHILY, None, 1)
-                    step_done = True
-                    break
-            if step_done:
-                break
-        if step_done:
-            continue
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] == 1 and y[i] == -1 and y[j] == 1:
-                    apply(i, j, OPINION_GOSSIP, None, 1)
-                    step_done = True
-                    break
-            if step_done:
-                break
-        if not step_done:
-            break
-
-    if not _aligned(rows, y, n):
-        raise RuntimeError("internal error: constructive sequence ended unaligned")
-    return AbsorptionRecord(True, t, _freeze(rows, labels), tuple(y), tuple(events))
+def _sioh_fix(rows, y, n):
+    # A negative link between agreeing opinions, by person-opinion
+    # homophily; else a positive link from a -1 toward a +1 opinion, by gossip.
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return next(
+        (
+            (i, j, PERSON_OPINION_HOMOPHILY, None, 1)
+            for i, j in pairs
+            if rows[i][j] == -1 and y[i] * y[j] == 1
+        ),
+        None,
+    ) or next(
+        (
+            (i, j, OPINION_GOSSIP, None, 1)
+            for i, j in pairs
+            if rows[i][j] == 1 and y[i] == -1 and y[j] == 1
+        ),
+        None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,28 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--engine", "sih", "--q1", "0.5"], "--q1"),
+            (["--engine", "constructive", "--q3", "0.5"], "--q3"),
+            (["--engine", "constructive", "--p2", "0.5"], "--p2"),
+            (["--n", "5"], "--n"),
+            (["--p", "0.5"], "--p"),
+            (["--p-neg", "0.5"], "--p-neg"),
+        ],
+    )
+    def test_flag_it_would_ignore_is_usage_error(self, triangle_file, capsys, flags, flag):
+        assert main(["simulate", "--input", triangle_file] + flags) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {flag} ")
+
+    def test_sioh_takes_q_flags(self, triangle_file, capsys):
+        argv = ["simulate", "--input", triangle_file, "--engine", "sioh",
+                "--q1", "0.2", "--q2", "0.3", "--q3", "0.5"]
+        assert main(argv) == EXIT_OK
+
 
 class TestExperimentCommand:
     def test_summary_and_csv(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from collections import Counter, deque
 
 import pytest
 
+from balance_lab import dynamics
 from balance_lab.balance import detect_two_faction, is_triad_wise_balanced
 from balance_lab.dynamics import (
     HOMOPHILY,
@@ -376,6 +377,37 @@ class TestRunSih:
                         assert record.final_x.entry(i, j) == 0
 
 
+class TestLedgerConfirmedByScan:
+    """Every absorbed result is confirmed by a structural scan, step 0 included."""
+
+    def test_symmetric_start_absorbed_by_a_lying_ledger_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_bad_tris_through", lambda *args: 0)
+        with pytest.raises(RuntimeError, match="balance scan"):
+            run_sih(ALL_NEGATIVE_TRIANGLE, SihParams(), seed=0)
+
+    def test_sioh_start_absorbed_by_a_lying_ledger_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_bad_links_at", lambda *args: 0)
+        state = SiohState(symmetric(2, [(1, 2, -1)]), (1, 1))
+        with pytest.raises(RuntimeError, match="alignment scan"):
+            run_sioh(state, SiohParams(), seed=0)
+
+    def test_asymmetric_start_raises_once_the_lying_ledger_absorbs(self, monkeypatch):
+        # With no triad ever counted, the ledger absorbs as soon as the
+        # matrix is symmetric; a run may only return a balanced state.
+        monkeypatch.setattr(dynamics, "_bad_tris_through", lambda *args: 0)
+        x0 = ALL_NEGATIVE_TRIANGLE.with_entry(3, 1, 1)
+        raised = []
+        for seed in range(10):
+            try:
+                record = run_sih(x0, SihParams(), seed=seed)
+            except RuntimeError as exc:
+                assert "balance scan" in str(exc)
+                raised.append(seed)
+            else:
+                assert record.absorbed and is_triad_wise_balanced(record.final_x)[0]
+        assert raised
+
+
 class TestConstructiveSih:
     def test_balanced_input_gives_empty_sequence(self):
         x = symmetric(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
@@ -636,6 +668,60 @@ class TestConstructiveSioh:
                 h = h_next
             assert phase2_seen == sum(
                 1 for e in record.events if e.mechanism == OPINION_GOSSIP or e.old != 0
+            )
+
+
+class TestRequireLegal:
+    """The constructive sequences re-validate every update they build."""
+
+    LINK = [[0, -1, 1], [-1, 0, 0], [1, 0, 0]]  # links {0, 1} and {0, 2} only
+
+    @pytest.mark.parametrize(
+        "i, j, mechanism, k, new, y, match",
+        [
+            (1, 2, SYMMETRY, None, 0, None, "no link"),
+            (0, 1, INFLUENCE, 2, 1, None, "common neighbor"),
+            (0, 1, HOMOPHILY, None, 1, None, "common neighbor"),
+            (0, 1, SYMMETRY, None, 1, None, "does not match"),
+            (0, 1, OPINION_GOSSIP, None, -1, None, "no mechanism"),
+            (0, 1, PERSON_OPINION_HOMOPHILY, None, 1, None, "no mechanism"),
+            (0, 1, "teleport", None, 1, [1, 1, 1], "no mechanism"),
+            (0, 1, OPINION_GOSSIP, None, 1, [1, 1, 1], "does not match"),
+            (0, 1, PERSON_OPINION_HOMOPHILY, None, -1, [1, 1, 1], "does not match"),
+        ],
+    )
+    def test_illegal_update_raises(self, i, j, mechanism, k, new, y, match):
+        with pytest.raises(RuntimeError, match=match):
+            dynamics._require_legal(self.LINK, y, i, j, mechanism, k, new)
+
+    @pytest.mark.parametrize("mechanism", [OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY, INFLUENCE])
+    def test_sioh_zero_entry_takes_only_symmetry(self, mechanism):
+        # X_01 = 0 with X_10 = 1: under SIOH only symmetry may act on (0, 1),
+        # even where SIH influence through node 2 would be legal.
+        rows = [[0, 0, 1], [1, 0, 1], [1, 1, 0]]
+        k = 2 if mechanism == INFLUENCE else None
+        dynamics._require_legal(rows, None, 0, 1, INFLUENCE, 2, 1)
+        dynamics._require_legal(rows, [1, 1, 1], 0, 1, SYMMETRY, None, 1)
+        with pytest.raises(RuntimeError, match="zero entry"):
+            dynamics._require_legal(rows, [1, 1, 1], 0, 1, mechanism, k, 1)
+
+    def test_legal_updates_pass(self):
+        rows = [[0, -1, 1], [-1, 0, 1], [1, 1, 0]]
+        y = [1, -1, 1]
+        for update in (
+            (0, 1, SYMMETRY, None, -1),
+            (0, 1, INFLUENCE, 2, 1),
+            (0, 1, HOMOPHILY, 2, 1),
+            (0, 1, OPINION_GOSSIP, None, 1),
+            (0, 1, PERSON_OPINION_HOMOPHILY, None, -1),
+        ):
+            dynamics._require_legal(rows, y, *update)
+
+    def test_constructive_refuses_an_illegal_fix(self):
+        # Influence through k = i: the pair's own endpoint is no common neighbor.
+        with pytest.raises(RuntimeError, match="common neighbor"):
+            dynamics._constructive(
+                ALL_NEGATIVE_TRIANGLE, None, lambda rows, y, n: (0, 1, INFLUENCE, 0, 1)
             )
 
 
