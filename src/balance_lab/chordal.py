@@ -4,8 +4,10 @@ A cycle is *subchordal* when some subgraph on exactly its nodes contains all
 cycle edges and is chordal; such a witness supports a fan triangulation of
 the cycle's polygon and forces the cycle sign positive in any triad-wise
 balanced assignment.  A cycle is subchordal exactly when the chords
-available in the graph contain a triangulation of its polygon, which an
-O(m^3) interval dynamic program over cycle positions decides.  A skeleton
+available in the graph contain a triangulation of its polygon.  One O(m^3)
+interval dynamic program over cycle positions finds such a triangulation;
+it decides subchordality, gives a witness's fan triangulation, and yields
+its ear (a triangle on three consecutive cycle nodes).  A skeleton
 on which every maximal cyclic subgraph admits a subchordal covering cycle
 whose chords split nicely guarantees that triad-wise and two-faction
 balance coincide for every sign assignment.  This module certifies that
@@ -17,7 +19,7 @@ small graphs stays as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .balance import (
     Cycle,
@@ -160,25 +162,19 @@ class SubchordalWitness:
 
 @dataclass(frozen=True)
 class TriangulationFan:
-    """Triangles partitioning the cycle's polygon, one per recursion leaf."""
+    """The ``m - 2`` triangles of a triangulation of an m-cycle's polygon."""
 
     triads: tuple[tuple[int, int, int], ...]
 
 
-def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWitness]:
-    """A chordal witness over the chords available in ``g``, or None.
-
-    A chordal graph containing the cycle has a chord of it that splits the
-    cycle into two cycles, each again chordal inside the graph, so recursing
-    yields ``m - 3`` non-crossing chords: a triangulation of the polygon.
-    Conversely every triangulation is chordal.  The interval DP over cycle
-    positions decides this exactly (Klincsek 1980): ``split[a][b]`` holds an
-    apex ``k`` when ``{a, b}`` is a cycle edge or an available chord and the
-    sub-polygons ``a..k`` and ``k..b`` are single edges or triangulable.
-    The cycle is subchordal iff ``split[0][m - 1]`` exists, and the witness
-    is the triangulation read off the apexes.  O(m^3) time, no guard.
-    """
-    _validate_cycle(g, cycle)
+def _triangulation(
+    cycle: Cycle, has_edge: Callable[[int, int], bool]
+) -> Optional[list[tuple[int, int, int]]]:
+    # Klincsek's (1980) interval DP over cycle positions: split[a][b] holds
+    # an apex k when {cycle[a], cycle[b]} is an edge and the sub-polygons
+    # a..k and k..b are single edges or triangulable.  Returns the triangles
+    # (a, k, b), a < k < b, read off the apexes from the root (0, m - 1)
+    # down, or None when the polygon has no triangulation.  O(m^3).
     m = len(cycle)
     split: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
 
@@ -188,91 +184,74 @@ def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWit
     for span in range(2, m):
         for a in range(m - span):
             b = a + span
-            if g.has_edge(cycle[a], cycle[b]):
+            if has_edge(cycle[a], cycle[b]):
                 split[a][b] = next(
                     (k for k in range(a + 1, b) if solved(a, k) and solved(k, b)), None
                 )
     if split[0][m - 1] is None:
         return None
-    chords = []
+    triangles = []
     pending = [(0, m - 1)]
     while pending:
         a, b = pending.pop()
         k = split[a][b]
-        for p, q in ((a, k), (k, b)):
-            if q - p >= 2:
-                chords.append((cycle[p], cycle[q]))
-                pending.append((p, q))
+        triangles.append((a, k, b))
+        pending.extend((p, q) for p, q in ((a, k), (k, b)) if q - p >= 2)
+    return triangles
+
+
+def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWitness]:
+    """A chordal witness over the chords available in ``g``, or None.
+
+    A chordal graph containing the cycle has a chord of it that splits the
+    cycle into two cycles, each again chordal inside the graph, so recursing
+    yields ``m - 3`` non-crossing chords: a triangulation of the polygon.
+    Conversely every triangulation is chordal.  So the cycle is subchordal
+    iff the polygon-triangulation DP over ``g``'s edges succeeds, and the
+    witness is that triangulation's chords.  O(m^3) time, no guard.
+    """
+    _validate_cycle(g, cycle)
+    triangles = _triangulation(cycle, g.has_edge)
+    if triangles is None:
+        return None
+    # Each chord is the (a, k) or (k, b) side of exactly one triangle.
+    chords = {
+        (cycle[p], cycle[q]) for a, k, b in triangles for p, q in ((a, k), (k, b)) if q - p >= 2
+    }
     return SubchordalWitness(tuple(cycle), frozenset(chords))
 
 
-def _first_internal_chord(
-    cycle: Cycle, edges: frozenset[tuple[int, int]]
-) -> Optional[tuple[int, int]]:
-    # First (p, q) position pair, q - p >= 2 and not the wrap pair, whose
-    # edge is present; None for triangles or chordless cycles.
-    m = len(cycle)
-    for p in range(m):
-        for q in range(p + 2, m):
-            if p == 0 and q == m - 1:
-                continue
-            if _pair(cycle[p], cycle[q]) in edges:
-                return (p, q)
-    return None
+def _witness_triangles(witness: SubchordalWitness) -> list[tuple[int, int, int]]:
+    # The DP on the witness's own edges.  It always succeeds: a chordal graph
+    # holding a Hamiltonian cycle triangulates the cycle's polygon.
+    edges = witness.all_edges
+    return _triangulation(witness.cycle, lambda a, b: _pair(a, b) in edges)
 
 
 def fan_triangulation(witness: SubchordalWitness) -> TriangulationFan:
-    """Cut the witness cycle at chords until only triangles remain.
+    """A triangulation of the witness cycle's polygon by the witness's edges.
 
-    Produces exactly ``len(cycle) - 2`` triangles; together they partition
-    the convex polygon spanned by the cycle, each cycle edge used once and
-    each cutting chord shared by exactly two triangles.
+    Produces exactly ``len(cycle) - 2`` triangles, each sorted, in sorted
+    order; together they partition the convex polygon spanned by the cycle,
+    each cycle edge used once and each cutting chord shared by exactly two
+    triangles.  A witness with crossing chords has several triangulations;
+    this is the one the triangulation DP finds.
     """
-    edges = witness.all_edges
-
-    def cut(cycle: Cycle) -> list[tuple[int, int, int]]:
-        if len(cycle) == 3:
-            return [tuple(sorted(cycle))]
-        at = _first_internal_chord(cycle, edges)
-        if at is None:
-            raise ValueError("witness is not chordal on a sub-cycle")
-        p, q = at
-        first, second = split_by_chord(cycle, _pair(cycle[p], cycle[q]))
-        return cut(first) + cut(second)
-
-    return TriangulationFan(tuple(cut(witness.cycle)))
+    c = witness.cycle
+    triads = sorted(tuple(sorted((c[a], c[k], c[b]))) for a, k, b in _witness_triangles(witness))
+    return TriangulationFan(tuple(triads))
 
 
 def consecutive_triad(witness: SubchordalWitness) -> tuple[int, int, int]:
-    """A witness triangle on three consecutive nodes of the cycle.
+    """A witness triangle on three consecutive nodes of the cycle (an ear).
 
-    Shrinks chord spans: starting from any chord, the enclosed sub-cycle is
-    again chordal inside the witness, so it has a chord with a strictly
-    smaller span; iterating lands on a span of two, which is the triangle.
+    A triangulation of a polygon with more than three sides has two ears,
+    and at most one of them holds the edge that closes the cycle, so some
+    triangle ``(a, k, b)`` of the DP's triangulation has ``b - a == 2``.
     """
-    cycle = witness.cycle
-    if len(cycle) == 3:
-        return (cycle[0], cycle[1], cycle[2])
-    edges = witness.all_edges
-    at = _first_internal_chord(cycle, edges)
-    if at is None:
-        raise ValueError("witness of length > 3 must contain a chord")
-    p, q = at
-    while q - p > 2:
-        inner = None
-        for a in range(p, q + 1):
-            for b in range(a + 2, q + 1):
-                if a == p and b == q:
-                    continue
-                if _pair(cycle[a], cycle[b]) in edges:
-                    inner = (a, b)
-                    break
-            if inner:
-                break
-        if inner is None:
-            raise ValueError("witness is not chordal on a sub-cycle")
-        p, q = inner
-    return (cycle[p], cycle[p + 1], cycle[p + 2])
+    c = witness.cycle
+    a = next(a for a, _, b in _witness_triangles(witness) if b - a == 2)
+    return (c[a], c[a + 1], c[a + 2])
 
 
 def _maximal_cycle_groups(

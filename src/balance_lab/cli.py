@@ -21,11 +21,11 @@ from .graphs import (
     AppraisalMatrix,
     EdgeListError,
     ego_network,
-    format_edge_list,
     is_bilateral,
     is_sign_symmetric,
     read_edge_list,
     skeleton,
+    write_edge_list,
 )
 from .rng import derive_seed, stream
 
@@ -247,7 +247,13 @@ def cmd_simulate(args) -> int:
     if args.engine != "sioh":
         _refuse(args, ("q1", "q2", "q3"), "applies only to --engine sioh")
     if args.engine == "constructive":
-        _refuse(args, ("p1", "p2", "p3"), "does not apply to --engine constructive")
+        _refuse(args, ("p1", "p2", "p3", "max_steps"), "does not apply to --engine constructive")
+        if args.input:
+            _refuse(args, ("seed",), "does not apply to --engine constructive with --input")
+    if args.seed is None:
+        args.seed = 0
+    if args.max_steps is None:
+        args.max_steps = dynamics.DEFAULT_MAX_STEPS
     x0 = _load_or_generate(args)
     run_seed = derive_seed(args.seed, _TAG_RUN)
     if args.engine == "sih":
@@ -277,8 +283,8 @@ def cmd_simulate(args) -> int:
         "final_opinions": list(record.final_y) if record.final_y else None,
     }
     if args.out:
-        Path(args.out).write_text(format_edge_list(record.final_x), encoding="utf-8")
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_edge_list(record.final_x, args.out)
+    _emit(payload, None)
     return EXIT_OK if record.absorbed else EXIT_NOT_ABSORBED
 
 
@@ -332,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--p", type=_probability, default=None)
     simulate.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
     simulate.add_argument("--engine", choices=("sih", "sioh", "constructive"), default="sih")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_MAX_STEPS)
+    # None until cmd_simulate has refused them where they would be ignored.
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--max-steps", type=_int_at_least(1), default=None)
     simulate.add_argument("--out", default=None, help="write the final state edge list here")
     simulate.add_argument("--log", default=None, help="write one JSON event per line here")
     _add_prob_flags(simulate, ("p1", "p2", "p3", "q1", "q2", "q3"))

@@ -48,6 +48,17 @@ DEFAULT_MAX_STEPS = 10**6
 _PROB_TOL = 1e-12
 
 
+def _check_weights(params, names: tuple[str, str, str]) -> None:
+    """Refuse mechanism weights that are not all positive or do not sum to 1."""
+    values = [getattr(params, name) for name in names]
+    for name, value in zip(names, values):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+    if abs(sum(values) - 1.0) > _PROB_TOL:
+        a, b, c = names
+        raise ValueError(f"{a}, {b} and {c} must sum to 1 (no renormalization)")
+
+
 @dataclass(frozen=True)
 class SihParams:
     """Mechanism weights for SIH updates; all positive, summing to one."""
@@ -57,11 +68,7 @@ class SihParams:
     p3: float = 1 / 3
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p3"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if abs(self.p1 + self.p2 + self.p3 - 1.0) > _PROB_TOL:
-            raise ValueError("p1, p2 and p3 must sum to 1 (no renormalization)")
+        _check_weights(self, ("p1", "p2", "p3"))
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,7 @@ class SiohParams:
     sih: SihParams = field(default_factory=SihParams)
 
     def __post_init__(self):
-        for name in ("q1", "q2", "q3"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if abs(self.q1 + self.q2 + self.q3 - 1.0) > _PROB_TOL:
-            raise ValueError("q1, q2 and q3 must sum to 1 (no renormalization)")
+        _check_weights(self, ("q1", "q2", "q3"))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,19 @@ def _default_labels(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def _check_link(n: int, i: int, j: int, s: int, seen: set[tuple[int, int]]) -> None:
+    """Refuse one ``(i, j, s)`` link on nodes ``1..n``; records it in ``seen``."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"node id out of range: ({i}, {j}) with n={n}")
+    if i == j:
+        raise ValueError(f"self-loop not allowed: ({i}, {j})")
+    if s not in (-1, 1):
+        raise ValueError(f"sign must be -1 or 1, got {s}")
+    if (i, j) in seen:
+        raise ValueError(f"duplicate ordered pair ({i}, {j})")
+    seen.add((i, j))
+
+
 @dataclass(frozen=True)
 class AppraisalMatrix:
     """Square ternary matrix of interpersonal appraisals with zero diagonal.
@@ -101,15 +114,7 @@ class AppraisalMatrix:
         grid = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, s in entries:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"node id out of range: ({i}, {j}) with n={n}")
-            if i == j:
-                raise ValueError(f"self-loop not allowed: ({i}, {j})")
-            if s not in (-1, 1):
-                raise ValueError(f"sign must be -1 or 1, got {s}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate ordered pair ({i}, {j})")
-            seen.add((i, j))
+            _check_link(n, i, j, s, seen)
             grid[i - 1][j - 1] = s
         return cls(tuple(tuple(r) for r in grid))
 
@@ -321,15 +326,10 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
             i, j, s = (int(t) for t in tokens)
         except ValueError:
             raise EdgeListError(f"non-integer field in {line!r}", line_no) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise EdgeListError(f"node id out of range in {line!r}", line_no)
-        if i == j:
-            raise EdgeListError(f"self-loop not allowed: {line!r}", line_no)
-        if s not in (-1, 1):
-            raise EdgeListError(f"sign must be -1 or 1, got {s}", line_no)
-        if (i, j) in seen:
-            raise EdgeListError(f"duplicate ordered pair ({i}, {j})", line_no)
-        seen.add((i, j))
+        try:
+            _check_link(n, i, j, s, seen)
+        except ValueError as exc:
+            raise EdgeListError(str(exc), line_no) from None
         entries.append((i, j, s))
     if n is None:
         raise EdgeListError("missing 'n <count>' header")

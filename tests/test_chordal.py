@@ -237,6 +237,56 @@ class TestIsSubchordal:
             SubchordalWitness((1, 2, 3, 4, 5), frozenset())
 
 
+def _assert_fan(witness):
+    """m - 2 triangles on witness edges, each sorted, in sorted order; cycle
+    edges used once, cutting chords twice."""
+    fan = fan_triangulation(witness)
+    assert list(fan.triads) == sorted(tuple(sorted(t)) for t in fan.triads)
+    cycle = witness.cycle
+    assert len(fan.triads) == len(cycle) - 2
+    witness_edges = witness.all_edges
+    counts = {}
+    for tri in fan.triads:
+        for e in itertools.combinations(sorted(tri), 2):
+            assert e in witness_edges
+            counts[e] = counts.get(e, 0) + 1
+    cycle_edges = {
+        tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    for e, c in counts.items():
+        assert c == (1 if e in cycle_edges else 2)
+    assert len(counts) == len(cycle) + len(cycle) - 3
+
+
+def _complete_witnesses(m):
+    """Every chord of the cycle in K_m, for two node orders of the cycle."""
+    for cycle in (tuple(range(1, m + 1)), tuple(range(1, m + 1, 2)) + tuple(range(2, m + 1, 2))):
+        yield SubchordalWitness(cycle, frozenset(find_chords(complete_skeleton(m), cycle)))
+
+
+def _all_chord_witnesses(seed):
+    """Witnesses holding every chord ``g`` has on a cycle, where that is chordal.
+
+    Unlike ``is_subchordal``'s witnesses, these may carry crossing chords, so
+    their polygon has more than one triangulation.
+    """
+    rng = random.Random(seed)
+    crossing = 0
+    for _ in range(60):
+        g = random_connected_skeleton(rng, rng.randrange(5, 9), extra_p=0.6)
+        for cycle in enumerate_simple_cycles(g)[-20:]:
+            chords = find_chords(g, cycle)
+            if len(cycle) < 5 or len(chords) <= len(cycle) - 3:
+                continue
+            try:
+                witness = SubchordalWitness(cycle, frozenset(chords))
+            except ValueError:
+                continue
+            crossing += 1
+            yield witness
+    assert crossing > 100
+
+
 class TestFanTriangulation:
     def test_pentagon_witness_fan(self, graph2):
         witness = is_subchordal(graph2, PENTAGON)
@@ -266,20 +316,18 @@ class TestFanTriangulation:
             if witness is None:
                 continue
             checked += 1
-            fan = fan_triangulation(witness)
-            assert len(fan.triads) == len(cycle) - 2
-            witness_edges = witness.all_edges
-            counts = {}
-            for tri in fan.triads:
-                for e in itertools.combinations(sorted(tri), 2):
-                    assert e in witness_edges
-                    counts[e] = counts.get(e, 0) + 1
-            cycle_edges = {
-                tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])
-            }
-            for e, c in counts.items():
-                assert c == (1 if e in cycle_edges else 2)
+            _assert_fan(witness)
         assert checked > 20
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_crossing_chords_of_complete_graph(self, m):
+        # Many triangulations; the one returned must still keep the contract.
+        for witness in _complete_witnesses(m):
+            _assert_fan(witness)
+
+    def test_random_witnesses_with_crossing_chords(self):
+        for witness in _all_chord_witnesses(61):
+            _assert_fan(witness)
 
 
 class TestConsecutiveTriad:
@@ -310,6 +358,15 @@ class TestConsecutiveTriad:
         witness = SubchordalWitness((1, 2, 3, 4), frozenset({(1, 3)}))
         assert consecutive_triad(witness) in ((1, 2, 3), (1, 3, 4), (3, 4, 1))
         self._assert_contract(witness)
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_crossing_chords_of_complete_graph(self, m):
+        for witness in _complete_witnesses(m):
+            self._assert_contract(witness)
+
+    def test_random_witnesses_with_crossing_chords(self):
+        for witness in _all_chord_witnesses(67):
+            self._assert_contract(witness)
 
     def test_random_witnesses(self):
         rng = random.Random(43)

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balance_lab import balance, dynamics, experiments
 from balance_lab.cli import (
@@ -179,6 +183,83 @@ class TestEquivalence:
         assert main(["equivalence", "--input", str(path)]) == EXIT_PARSE
 
 
+_FUZZ_NOISE = st.one_of(
+    st.lists(
+        st.one_of(st.integers(-2, 10).map(str), st.sampled_from(["n", "#", "x", "1.5", "-", "0x1"])),
+        max_size=4,
+    ).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+# One shape per unordered pair {i, j}, i < j: the links it writes as (i, j, sign) triples.
+_FUZZ_SHAPES = {
+    "+": lambda i, j: [(i, j, 1), (j, i, 1)],
+    "-": lambda i, j: [(i, j, -1), (j, i, -1)],
+    "+-": lambda i, j: [(i, j, 1), (j, i, -1)],
+    ">": lambda i, j: [(i, j, -1)],
+    "<": lambda i, j: [(j, i, 1)],
+}
+
+
+def _fuzz_links(n):
+    # Links on nodes 1..n (1..2 under a bad header), on distinct pairs, optionally
+    # over a ring through every node so that more skeletons are connected, and
+    # either all sign-symmetric or of mixed shapes.
+    m = max(n, 2)
+    pair = st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda t: t[0] < t[1])
+    ring = [tuple(sorted((i, i % m + 1))) for i in range(1, m + 1)]
+    pairs = st.tuples(st.sampled_from([[], ring]), st.lists(pair, max_size=20)).map(
+        lambda t: list(dict.fromkeys(t[0] + t[1]))
+    )
+    shapes = st.sampled_from([["+", "-"], list(_FUZZ_SHAPES)])
+    return st.tuples(pairs, shapes).flatmap(
+        lambda t: st.lists(st.sampled_from(t[1]), min_size=len(t[0]), max_size=len(t[0])).map(
+            lambda picks: [
+                f"{i} {j} {sign}"
+                for (a, b), shape in zip(t[0], picks)
+                for i, j, sign in _FUZZ_SHAPES[shape](a, b)
+            ]
+        )
+    )
+
+
+_FUZZ_TEXT = st.builds(
+    lambda before, header, noise: "\n".join(before + [f"n {header[0]}"] + header[1] + noise) + "\n",
+    st.sampled_from([[], [""], ["# comment"], ["1 2 1"]]),
+    st.sampled_from(range(-1, 9)).flatmap(lambda n: st.tuples(st.just(n), _fuzz_links(n))),
+    st.one_of(st.just([]), st.just([]), st.just([]), _FUZZ_NOISE.map(lambda line: [line])),
+)
+
+
+class TestEdgeListFuzz:
+    """Edge-list text with at most 8 nodes: a documented exit, never a traceback."""
+
+    def _run(self, argv, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.el")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], "--input", path] + argv[1:])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_GUARD), (code, err.getvalue())
+        if code == EXIT_OK:
+            assert json.loads(out.getvalue())["n"] >= 1 and err.getvalue() == ""
+        else:
+            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+
+    @given(_FUZZ_TEXT, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_analyze(self, text, all_cycles):
+        self._run(["analyze"] + (["--all-cycles"] if all_cycles else []), text)
+
+    @given(_FUZZ_TEXT, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equivalence(self, text, verify):
+        self._run(["equivalence"] + (["--verify-exhaustive"] if verify else []), text)
+
+
 class TestSimulate:
     def test_balanced_input_zero_steps(self, triangle_file, capsys):
         code = main(["simulate", "--input", triangle_file, "--engine", "sih", "--seed", "1"])
@@ -289,6 +370,9 @@ class TestSimulate:
             (["--n", "5"], "--n"),
             (["--p", "0.5"], "--p"),
             (["--p-neg", "0.5"], "--p-neg"),
+            (["--engine", "constructive", "--max-steps", "1"], "--max-steps"),
+            (["--engine", "constructive", "--seed", "5"], "--seed"),
+            (["--engine", "constructive", "--seed", "0"], "--seed"),
         ],
     )
     def test_flag_it_would_ignore_is_usage_error(self, triangle_file, capsys, flags, flag):
@@ -301,6 +385,31 @@ class TestSimulate:
         argv = ["simulate", "--input", triangle_file, "--engine", "sioh",
                 "--q1", "0.2", "--q2", "0.3", "--q3", "0.5"]
         assert main(argv) == EXIT_OK
+
+    def test_constructive_generator_takes_seed(self, capsys):
+        # --seed seeds the generator, so it is not ignored without --input.
+        outputs = []
+        for seed in ("3", "3", "4"):
+            argv = ["simulate", "--n", "7", "--p", "0.6", "--p-neg", "0.5",
+                    "--engine", "constructive", "--seed", seed]
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    @pytest.mark.parametrize("engine", ["sih", "sioh"])
+    def test_seed_and_max_steps_default_to_zero_and_the_library_budget(
+        self, tmp_path, engine
+    ):
+        graph = tmp_path / "neg.el"
+        graph.write_text(ALL_NEGATIVE_TRIANGLE)
+        runs = []
+        for extra in ([], ["--seed", "0", "--max-steps", str(dynamics.DEFAULT_MAX_STEPS)]):
+            out, log = tmp_path / f"out{len(runs)}.el", tmp_path / f"log{len(runs)}.jsonl"
+            argv = ["simulate", "--input", str(graph), "--engine", engine,
+                    "--out", str(out), "--log", str(log)] + extra
+            assert main(argv) == EXIT_OK
+            runs.append((out.read_bytes(), log.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestExperimentCommand:
@@ -393,11 +502,19 @@ class TestEventLog:
             assert any(e.mechanism == dynamics.OPINION_GOSSIP for e in events)
 
     def test_golden_log_bytes(self, tmp_path, capsys):
-        log = tmp_path / "events.jsonl"
-        code = main(["simulate", "--engine", "sioh", *self.RUNS["sioh"][1], "--log", str(log)])
+        log, out = tmp_path / "events.jsonl", tmp_path / "final.el"
+        argv = ["simulate", "--engine", "sioh", *self.RUNS["sioh"][1], "--log", str(log), "--out", str(out)]
+        code = main(argv)
         assert code == EXIT_NOT_ABSORBED
         assert hashlib.sha256(log.read_bytes()).hexdigest() == (
             "43af1c1fba6d6a64b60dba4016ba50102ff85cef74c4a5c9ba0c55f4178efe6e"
+        )
+        # The payload on stdout and the final state in --out are pinned too.
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "4d23634631ecd2d1b37fee0db176046a5138c93813ba70295a45faa5b396945d"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5457f485841a4fab044195e61f3ea158748930ff914d5021a932483693ed9990"
         )
 
     def test_logged_run_memory_stays_flat(self, tmp_path, capsys):

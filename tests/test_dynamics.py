@@ -138,14 +138,16 @@ class TestParams:
         SiohParams()
 
     def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p1 must be positive$"):
             SihParams(0.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^q2 must be positive$"):
             SiohParams(1.0, -0.5, 0.5)
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p1, p2 and p3 must sum to 1 \(no renormalization\)$"):
             SihParams(0.5, 0.4, 0.2)
+        with pytest.raises(ValueError, match=r"^q1, q2 and q3 must sum to 1 \(no renormalization\)$"):
+            SiohParams(0.5, 0.3, 0.2000000005)
 
     def test_opinions_validated(self):
         x = AppraisalMatrix.zeros(2)

@@ -212,6 +212,20 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListError, match="header"):
             parse_edge_list("# nothing\n")
 
+    @pytest.mark.parametrize(
+        "link", [(1, 5, 1), (0, 2, 1), (2, 2, 1), (1, 2, 0), (2, 1, 1)]
+    )
+    def test_parse_and_from_edge_list_refuse_a_link_alike(self, link):
+        # One per-link check: the parser adds only the line number.
+        entries = [(2, 1, -1), link]
+        with pytest.raises(ValueError) as direct:
+            AppraisalMatrix.from_edge_list(2, entries)
+        text = "n 2\n" + "".join(f"{i} {j} {s}\n" for i, j, s in entries)
+        with pytest.raises(EdgeListError) as parsed:
+            parse_edge_list(text)
+        assert str(parsed.value) == f"line 3: {direct.value}"
+        assert parsed.value.line_no == 3
+
     def test_format_requires_contiguous_labels(self):
         x = AppraisalMatrix.from_edge_list(4, [(2, 4, 1)])
         sub = induced_subgraph(x, {2, 4})
