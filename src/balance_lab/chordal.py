@@ -303,7 +303,9 @@ def check_equivalence_conditions(
     One pass of cycle enumeration yields both the maximal cyclic subgraphs
     and their covering cycles, tried in ``(length, tuple)`` order; ``force``
     overrides only that enumeration's node guard, since each subchordality
-    test is the polynomial triangulation DP of ``is_subchordal``.
+    test is the polynomial triangulation DP of ``is_subchordal``.  Only the
+    DP's verdict is used, so no witness is built: the enumerated cycles and
+    their chord splits are valid cycles of ``g`` by construction.
     """
     if not g.is_connected():
         raise ValueError("equivalence conditions are defined for connected graphs")
@@ -319,13 +321,16 @@ def check_equivalence_conditions(
         found = None
         any_subchordal = False
         for cycle in covering:
-            if is_subchordal(g, cycle) is None:
+            if _triangulation(cycle, g.has_edge) is None:
                 continue
             any_subchordal = True
             splits_ok = True
             for chord in find_chords(g, cycle):
                 first, second = split_by_chord(cycle, chord)
-                if is_subchordal(g, first) is None and is_subchordal(g, second) is None:
+                if (
+                    _triangulation(first, g.has_edge) is None
+                    and _triangulation(second, g.has_edge) is None
+                ):
                     splits_ok = False
                     break
             if splits_ok:

@@ -311,7 +311,13 @@ class _Kernel:
         when given.  The draw order is part of the reproducibility contract:
         pair index, then mechanism, then (for influence and homophily only)
         the index of the common neighbor in increasing node order.  SIOH
-        draws its outer branch first and skips it when X_ij = 0.
+        draws its outer branch first and skips it when X_ij = 0.  A matrix
+        without links leaves no pair to draw and raises ValueError.
+
+        On an exact ``random.Random`` each integer draw inlines the loop
+        behind CPython's ``randrange(n)``: ``getrandbits(n.bit_length())``,
+        redrawn until below n, the same values from the same stream.  Any
+        other rng, a subclass included, is asked for ``randrange``.
         """
         rows, nz, pos, neg, y, up = self.rows, self.nz, self.pos, self.neg, self.y, self.up
         sioh = y is not None
@@ -320,14 +326,25 @@ class _Kernel:
             params = params.sih
         p1, p12 = params.p1, params.p1 + params.p2
         randrange, random_ = rng.randrange, rng.random
+        inline = type(rng) is random.Random
+        getrandbits = rng.getrandbits if inline else None
         make = UpdateEvent._make
         cands = self.cands
+        if not cands:
+            raise ValueError("no candidate pair: the appraisal network has no links")
         ncands = len(cands)
+        width = ncands.bit_length()
         bad_pairs, bad_tris, bad_links = self.bad_pairs, self.bad_tris, self.bad_links
         absorbed = False
         t = 0
         while t < max_steps:
-            i, j = cands[randrange(ncands)]
+            if inline:
+                d = getrandbits(width)
+                while d >= ncands:
+                    d = getrandbits(width)
+            else:
+                d = randrange(ncands)
+            i, j = cands[d]
             ri = rows[i]
             old = ri[j]
             mech = k = None
@@ -351,7 +368,15 @@ class _Kernel:
                 else:
                     # The drawn index counts set bits from the lowest node:
                     # drop that many low bits, then take the lowest left.
-                    for _ in range(randrange(common.bit_count())):
+                    c = common.bit_count()
+                    if inline:
+                        w = c.bit_length()
+                        d = getrandbits(w)
+                        while d >= c:
+                            d = getrandbits(w)
+                    else:
+                        d = randrange(c)
+                    for _ in range(d):
                         common &= common - 1
                     k = (common & -common).bit_length() - 1
                     if r < p12:
@@ -382,9 +407,12 @@ class _Kernel:
                 elif not new:
                     # Only symmetry writes a zero, copying X_ji = 0, so the
                     # pair leaves the candidates; a new link never adds one.
+                    # Emptied candidates mean no links, which is absorbed, so
+                    # the loop breaks before a draw could spin on getrandbits(0).
                     nz[i] ^= bj
                     cands = _candidates(rows, self.n)
                     ncands = len(cands)
+                    width = ncands.bit_length()
                 if i < j:
                     if sioh:
                         s = y[i] * y[j]
@@ -473,8 +501,6 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
 def _step(x, y, params, rng, step) -> tuple[AppraisalMatrix, Optional[tuple], UpdateEvent]:
     """The body of ``sih_step`` (``y`` None) and ``sioh_step``: (x, y, event) after one draw."""
     kernel = _Kernel(_row_lists(x), None if y is None else list(y))
-    if not kernel.cands:
-        raise ValueError("no candidate pair: the appraisal network has no links")
     events: list[UpdateEvent] = []
     kernel.run(params, rng, 1, events.append, x.labels, step)
     return _freeze(kernel.rows, x.labels), None if y is None else tuple(kernel.y), events[0]

@@ -6,7 +6,10 @@ which pins the RNG draw order (pair, mechanism, neighbor).  A run whose
 ``log`` is a callable must hand it the events the reference collects with
 ``log=True``, in order, and return no events of its own.  The ledger test
 recounts the kernel's incremental violation counts and bitset views from
-the dense rows after every step.
+the dense rows after every step.  The kernel inlines ``randrange``'s loop
+on an exact ``random.Random`` and asks any other rng for ``randrange``;
+the last tests pin that loop against ``randrange``, the fallback on a
+subclass with its own integer stream, and a run whose links all vanish.
 """
 
 import dataclasses
@@ -181,3 +184,74 @@ def test_incremental_ledger_matches_recount_after_every_step(engine):
             assert taken == 1 and absorbed == kernel.absorbed()
             steps_checked += 1
     assert steps_checked > 1000
+
+
+def test_inline_draw_is_cpython_randrange():
+    """The kernel's inline integer draw gives randrange(n)'s values, stream for stream.
+
+    On an exact ``random.Random`` the kernel draws ``getrandbits(n.bit_length())``
+    until the value is below n instead of calling ``randrange(n)``.
+    """
+    for seed in range(50):
+        lib, inline = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            width = n.bit_length()
+            d = inline.getrandbits(width)
+            while d >= n:
+                d = inline.getrandbits(width)
+            assert lib.randrange(n) == d, (
+                f"seed {seed}, n {n}: this Python's randrange(n) is no longer "
+                "getrandbits(n.bit_length()) redrawn until below n, so the kernel's "
+                "inline draw changes every trajectory; see README, 'Simulation kernel'"
+            )
+
+
+class RandomOnly(random.Random):
+    """Overrides only ``random()``, so ``randrange`` draws through it, not ``getrandbits``."""
+
+    def random(self):
+        return super().random()
+
+
+def test_subclassed_rng_keeps_its_randrange_stream():
+    # The precondition: the subclass's integer stream is not the inline loop's,
+    # so a kernel that inlined the draw for it would leave the reference.
+    sub, exact = RandomOnly(7), random.Random(7)
+    assert [sub.randrange(56) for _ in range(20)] != [exact.randrange(56) for _ in range(20)]
+    rng = random.Random(606)
+    steps = 0
+    for case in range(60):
+        n = rng.randrange(3, 11)
+        x0 = random_input(rng, n)
+        if not _candidates(x0.rows, n):
+            continue
+        y0 = random_opinions(rng, n)
+        sih, sioh = rng.choice(SIH_WEIGHTS), rng.choice(SIOH_WEIGHTS)
+        x, x_ref = x0, x0
+        state, state_ref = SiohState(x0, y0), SiohState(x0, y0)
+        draws, draws_ref = RandomOnly(case), RandomOnly(case)
+        for t in range(25):
+            x, event = sih_step(x, sih, draws, step=t)
+            x_ref, event_ref = ref.sih_step(x_ref, sih, draws_ref, step=t)
+            assert (x, event) == (x_ref, event_ref), (case, t)
+            state, event = sioh_step(state, sioh, draws, step=t)
+            state_ref, event_ref = ref.sioh_step(state_ref, sioh, draws_ref, step=t)
+            assert (state, event) == (state_ref, event_ref), (case, t)
+            steps += 1
+            if not _candidates(x.rows, n) or not _candidates(state.x.rows, n):
+                break
+    assert steps > 500
+
+
+def test_run_whose_links_all_vanish_absorbs():
+    # With one one-way link, symmetry on (0, 1) copies X_10 = 0 and leaves no
+    # link, so the next draw would read an empty candidate list, where
+    # getrandbits(0) == 0 never gets below 0.  The run must stop absorbed first.
+    x0 = AppraisalMatrix.from_rows([[0, 1], [0, 0]])
+    linkless = 0
+    for seed in range(200):
+        got = run_sih(x0, SihParams(), seed, log=True)
+        assert got.absorbed, seed
+        assert got == ref.run_sih(x0, SihParams(), seed, log=True), seed
+        linkless += not any(any(r) for r in got.final_x.rows)
+    assert 50 < linkless < 150
