@@ -2,8 +2,8 @@
 
 Every subcommand is a thin adapter over the library; no algorithmic logic
 lives here.  Exit codes: 0 success or absorbed, 1 usage (including an
-output path that cannot be written), 2 input parse, 3 guard refusal,
-4 max-steps exhaustion.
+output path that cannot be opened or written), 2 input parse, 3 guard
+refusal, 4 max-steps exhaustion.
 """
 
 from __future__ import annotations
@@ -80,10 +80,20 @@ def _probability(text: str) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised in the block, which writes ``path``, into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
@@ -103,11 +113,8 @@ def _check_outputs(args) -> None:
         if other != flag:
             raise _UsageError(f"--{other} and --{flag} name the same file {path}")
         existed = os.path.lexists(path)
-        try:
-            with open(path, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        with _writing(path), open(path, "a", encoding="utf-8"):
+            pass
         if not existed:
             os.remove(path)
 
@@ -144,12 +151,6 @@ def _refuse(args, names: tuple[str, ...], why: str) -> None:
 
 def _sih_params(args) -> dynamics.SihParams:
     return _weights(args, dynamics.SihParams, ("p1", "p2", "p3"))
-
-
-def _event_writer(handle):
-    """A ``log`` callable for the dynamics: writes each event's line to ``handle`` as it comes."""
-    write = handle.write
-    return lambda event: write(event.to_json_line())
 
 
 def _load_or_generate(args) -> AppraisalMatrix:
@@ -263,8 +264,10 @@ def cmd_simulate(args) -> int:
         y0 = tuple(1 if draw.random() < 0.5 else -1 for _ in range(x0.n))
         state0 = dynamics.SiohState(x0, y0)
         params = _weights(args, dynamics.SiohParams, ("q1", "q2", "q3"), sih=_sih_params(args))
-    with open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext() as handle:
-        log = _event_writer(handle) if handle else False
+    # The dynamics write each event's line to the log file as they draw it.
+    with _writing(args.log), (
+        open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext(False)
+    ) as log:
         if args.engine == "sih":
             record = dynamics.run_sih(x0, params, run_seed, args.max_steps, log=log)
         elif args.engine == "sioh":
@@ -273,7 +276,7 @@ def cmd_simulate(args) -> int:
             record = dynamics.constructive_sih_sequence(x0)
             if log:
                 for event in record.events:
-                    log(event)
+                    log.write(event.to_json_line())
     payload = {
         "engine": args.engine,
         "absorbed": record.absorbed,
@@ -283,7 +286,8 @@ def cmd_simulate(args) -> int:
         "final_opinions": list(record.final_y) if record.final_y else None,
     }
     if args.out:
-        write_edge_list(record.final_x, args.out)
+        with _writing(args.out):
+            write_edge_list(record.final_x, args.out)
     _emit(payload, None)
     return EXIT_OK if record.absorbed else EXIT_NOT_ABSORBED
 
@@ -300,7 +304,8 @@ def cmd_experiment(args) -> int:
     records, reg = experiments.run_study(
         args.n, args.p, args.p_neg, args.trials, args.seed, _sih_params(args), args.max_steps, _workers()
     )
-    experiments.export_csv(records, args.out)
+    with _writing(args.out):
+        experiments.export_csv(records, args.out)
     _emit(experiments.study_summary(args.study, records, reg, fixed), args.summary)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ popcounts after every change.  A full structural scan confirms every
 absorbed result, one absorbed at step 0 included, and the
 definition-literal equilibrium checks that simulate every possible update
 are kept as slower oracles.  A run can log one UpdateEvent per step,
-either collected into its record or streamed to a callable as it is drawn.
+collected into its record or handed to a callable as it is drawn, or
+write each step's JSON line to a text stream, filled in by the kernel.
 Deterministic constructive sequences reach absorption from any start by
 symmetrizing the zero pattern and then applying one legal fix at a time,
 each re-validated against the step preconditions, driving a
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .graphs import AppraisalMatrix
 from .rng import stream
@@ -141,8 +142,9 @@ class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
         """``json.dumps(self.to_dict(), sort_keys=True)`` plus a newline.
 
         Filled into one fixed template rather than serialized, so it holds
-        for integer fields and the five mechanism names.  This line format
-        is part of the reproducibility contract of ``simulate --log``.
+        for integer fields and the five mechanism names.  The kernel fills
+        the same template when a run's ``log`` is a text stream.  This line
+        format is part of the reproducibility contract of ``simulate --log``.
         """
         step, i, j, mechanism, k, old, new = self
         return _EVENT_LINE % (i, j, "null" if k is None else k, mechanism, new, old, step)
@@ -300,17 +302,20 @@ class _Kernel:
         params: SihParams | SiohParams,
         rng: random.Random,
         max_steps: int,
-        emit: Optional[Callable[[UpdateEvent], object]] = None,
+        emit: Optional[Callable[[object], object]] = None,
         labels: tuple[int, ...] = (),
         first_step: int = 0,
+        lines: bool = False,
     ) -> tuple[bool, int]:
         """Draw and apply up to ``max_steps`` updates, stopping at absorption.
 
         ``params`` is SihParams for SIH and SiohParams for SIOH.  Returns
-        (absorbed, steps drawn); each draw hands one event to ``emit``
-        when given.  The draw order is part of the reproducibility contract:
-        pair index, then mechanism, then (for influence and homophily only)
-        the index of the common neighbor in increasing node order.  SIOH
+        (absorbed, steps drawn).  When ``emit`` is given, each draw hands it
+        one UpdateEvent or, with ``lines``, that event's ``_EVENT_LINE`` text,
+        filled in here without building the event.  The draw order is part
+        of the reproducibility contract: pair index, then mechanism, then
+        (for influence and homophily only) the index of the common neighbor
+        in increasing node order.  SIOH
         draws its outer branch first and skips it when X_ij = 0.  A matrix
         without links leaves no pair to draw and raises ValueError.
 
@@ -384,8 +389,12 @@ class _Kernel:
                     else:
                         mech, new = HOMOPHILY, ri[k] * rows[j][k]
             if emit is not None:
-                emit(make((first_step + t, labels[i], labels[j], mech,
-                           None if k is None else labels[k], old, new)))
+                if lines:
+                    emit(_EVENT_LINE % (labels[i], labels[j], "null" if k is None else labels[k],
+                                        mech, new, old, first_step + t))
+                else:
+                    emit(make((first_step + t, labels[i], labels[j], mech,
+                               None if k is None else labels[k], old, new)))
             t += 1
             if new == old:
                 continue
@@ -472,10 +481,14 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
     """The body of ``run_sih`` (``y0`` None) and ``run_sioh`` (``y0`` the opinions)."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    # False logs nothing, True collects into ``events``, a callable is handed each event.
+    # False logs nothing, True collects into ``events``, a callable is handed
+    # each event, and a writable text stream is written each event's line.
     events: Optional[list[UpdateEvent]] = None
+    lines = False
     if callable(log):
         emit = log
+    elif hasattr(log, "write"):
+        emit, lines = log.write, True
     elif log:
         events = []
         emit = events.append
@@ -485,7 +498,7 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
     kernel = _Kernel(_row_lists(x0), None if y0 is None else list(y0))
     absorbed, t = True, 0
     if not kernel.absorbed():
-        absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels)
+        absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels, 0, lines)
     if absorbed and not _absorbing(kernel.rows, kernel.y, x0.n):
         scan = "balance" if y0 is None else "alignment"
         raise RuntimeError(f"internal error: ledger disagrees with {scan} scan")
@@ -611,7 +624,7 @@ def run_sih(
     params: SihParams,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    log: bool | Callable[[UpdateEvent], object] = False,
+    log: bool | Callable[[UpdateEvent], object] | TextIO = False,
 ) -> AbsorptionRecord:
     """Run SIH updates until triad-wise balance or ``max_steps``.
 
@@ -622,8 +635,11 @@ def run_sih(
 
     ``log=True`` collects one UpdateEvent per step into ``record.events``.
     A callable ``log`` is instead handed each event as it is drawn, in step
-    order, and ``record.events`` is None; memory then stays flat in the
-    number of steps.  An input that starts absorbed draws no event.
+    order.  A writable text stream ``log`` (not callable, with ``write``)
+    is written each event's ``UpdateEvent.to_json_line()`` text as it is
+    drawn, without the event being built.  With either, ``record.events``
+    is None and memory stays flat in the number of steps.  An input that
+    starts absorbed draws no event and writes nothing.
     """
     return _run(x0, None, params, seed, max_steps, log)
 
@@ -709,13 +725,14 @@ def run_sioh(
     params: SiohParams,
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
-    log: bool | Callable[[UpdateEvent], object] = False,
+    log: bool | Callable[[UpdateEvent], object] | TextIO = False,
 ) -> AbsorptionRecord:
     """Run SIOH updates until the absorbing alignment or ``max_steps``.
 
     ``log`` works as in ``run_sih``: True collects the events into
-    ``record.events``, a callable is handed each event in step order and
-    leaves ``record.events`` None.
+    ``record.events``; a callable is handed each event and a writable text
+    stream is written each event's JSON line, in step order, and both
+    leave ``record.events`` None.
     """
     return _run(state0.x, state0.y, params, seed, max_steps, log)
 

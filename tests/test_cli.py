@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -258,6 +259,67 @@ class TestEdgeListFuzz:
     @settings(max_examples=150, deadline=None)
     def test_equivalence(self, text, verify):
         self._run(["equivalence"] + (["--verify-exhaustive"] if verify else []), text)
+
+
+def _optional(flag, values):
+    """No argument, or ``flag`` with one drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_SIMULATE_ARGV = st.builds(
+    lambda *parts: ["simulate"] + [arg for part in parts for arg in part],
+    st.sampled_from([[], ["--engine", "sih"], ["--engine", "sioh"], ["--engine", "constructive"]]),
+    st.integers(2, 10).map(lambda n: ["--n", str(n)]),
+    st.floats(0, 1).map(lambda p: ["--p", repr(p)]),
+    _optional("--p-neg", st.floats(0, 1).map(repr)),
+    _optional("--seed", st.integers(-(10**6), 10**6)),
+    _optional("--max-steps", st.integers(1, 500)),
+    # Flags refused where they do not apply or when incomplete or out of range.
+    st.lists(
+        st.sampled_from([
+            ["--q1", "0.2", "--q2", "0.3", "--q3", "0.5"],
+            ["--p1", "0.5", "--p2", "0.3", "--p3", "0.2"],
+            ["--q1", "0.5"],
+            ["--p2", "0.5"],
+            ["--input", "{graph}"],
+            ["--max-steps", "0"],
+            ["--n", "1"],
+        ]),
+        max_size=2,
+    ).map(lambda groups: [arg for group in groups for arg in group]),
+)
+
+
+class TestSimulateArgvFuzz:
+    """Generated ``simulate`` argv: exit 0, 1 or 4, never a traceback; the log holds the run."""
+
+    @given(_SIMULATE_ARGV, st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_simulate(self, argv, with_log, with_out):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, log, final = (os.path.join(tmp, name) for name in ("g.el", "events.jsonl", "final.el"))
+            with open(graph, "w", encoding="utf-8") as handle:
+                handle.write(ONE_NEGATIVE_TRIANGLE)
+            argv = [arg.format(graph=graph) for arg in argv]
+            argv += ["--log", log] * with_log + ["--out", final] * with_out
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_NOT_ABSORBED), (argv, code, err.getvalue())
+            if code == EXIT_USAGE:
+                assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, argv
+                return
+            assert err.getvalue() == "", argv
+            payload = json.loads(out.getvalue())
+            assert payload["absorbed"] == (code == EXIT_OK)
+            if with_log:
+                with open(log, encoding="utf-8") as handle:
+                    lines = handle.readlines()
+                assert len(lines) == payload["steps"], argv
+                for line in lines:
+                    assert json.dumps(json.loads(line), sort_keys=True) + "\n" == line
+            if with_out:
+                assert read_edge_list(final).n == payload["n"]
 
 
 class TestSimulate:
@@ -603,6 +665,31 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == "" and "name the same file" in err and len(err.splitlines()) == 1
         assert kept.read_text() == "kept\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "8", "--p", "0.5", "--p-neg", "0.3", "--log", "/dev/full"],
+            ["simulate", "--n", "8", "--p", "0.5", "--p-neg", "0.3", "--engine", "sioh",
+             "--max-steps", "3", "--log", "/dev/full"],
+            ["simulate", "--n", "8", "--p", "0.5", "--p-neg", "0.3", "--engine", "constructive",
+             "--log", "/dev/full"],
+            ["simulate", "--n", "8", "--p", "0.5", "--out", "/dev/full"],
+            ["experiment", "--study", "triads", "--p", "0.5", "--p-neg", "0.3", "--trials", "2",
+             "--out", "/dev/full"],
+            ["experiment", "--study", "triads", "--p", "0.5", "--p-neg", "0.3", "--trials", "2",
+             "--out", "{dir}/trials.csv", "--summary", "/dev/full"],
+        ],
+    )
+    def test_failed_write_is_usage_error(self, tmp_path, capsys, argv):
+        # /dev/full opens for writing but every write fails with ENOSPC, so
+        # the error comes from the write itself, the log's from inside the run.
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
     def test_one_node_analyze_reports_null_density(self, tmp_path, capsys):
         path = tmp_path / "one.el"

@@ -4,7 +4,8 @@
 match exactly: absorption flag, step count, final state and every event,
 which pins the RNG draw order (pair, mechanism, neighbor).  A run whose
 ``log`` is a callable must hand it the events the reference collects with
-``log=True``, in order, and return no events of its own.  The ledger test
+``log=True``, in order, and return no events of its own; a writable
+``log`` must be written exactly those events' JSON lines.  The ledger test
 recounts the kernel's incremental violation counts and bitset views from
 the dense rows after every step.  The kernel inlines ``randrange``'s loop
 on an exact ``random.Random`` and asks any other rng for ``randrange``;
@@ -13,6 +14,7 @@ subclass with its own integer stream, and a run whose links all vanish.
 """
 
 import dataclasses
+import io
 import random
 
 import pytest
@@ -29,7 +31,7 @@ from balance_lab.dynamics import (
     sih_step,
     sioh_step,
 )
-from balance_lab.graphs import AppraisalMatrix
+from balance_lab.graphs import AppraisalMatrix, induced_subgraph
 
 from conftest import random_matrix
 
@@ -93,6 +95,34 @@ def test_run_sioh_matches_reference():
         state0 = SiohState(x0, random_opinions(rng, x0.n))
         got, want = run_both(run_sioh, ref.run_sioh, state0, params, case, max_steps, log)
         assert got == want, (case, x0.rows, state0.y, params, max_steps, log)
+
+
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+def test_stream_log_writes_the_lines_of_the_collected_events(engine):
+    # Node 1 is never kept, so the labels are never 1..m and a line that
+    # printed positions instead of labels would differ.
+    rng = random.Random(606 if engine == "sih" else 707)
+    run = run_sih if engine == "sih" else run_sioh
+    with_k = without_k = absorbed_at_start = 0
+    for case in range(80):
+        n = rng.randrange(3, 12)
+        keep = sorted(rng.sample(range(2, n + 1), rng.randrange(2, n)))
+        x0 = induced_subgraph(random_input(rng, n), keep)
+        if rng.random() < 0.1:  # linkless, so absorbed at the start: nothing is written
+            x0 = AppraisalMatrix(tuple((0,) * len(keep) for _ in keep), x0.labels)
+        state0 = x0 if engine == "sih" else SiohState(x0, random_opinions(rng, x0.n))
+        params = rng.choice(SIH_WEIGHTS if engine == "sih" else SIOH_WEIGHTS)
+        max_steps = rng.choice((1, 7, 60, 2000))
+        collected = run(state0, params, case, max_steps, log=True)
+        sink = io.StringIO()
+        record = run(state0, params, case, max_steps, log=sink)
+        assert record.events is None
+        assert dataclasses.replace(record, events=collected.events) == collected, case
+        assert sink.getvalue() == "".join(e.to_json_line() for e in collected.events), case
+        with_k += any(e.k is not None for e in collected.events)
+        without_k += any(e.k is None for e in collected.events)
+        absorbed_at_start += collected.steps == 0 and sink.getvalue() == ""
+    assert with_k > 10 and without_k > 10 and absorbed_at_start > 3
 
 
 def test_step_functions_match_reference():
