@@ -298,7 +298,10 @@ def check_equivalence_conditions(
     one covering cycle that (i) is subchordal and (ii) has, for every chord
     in the ambient graph, at least one subchordal side after splitting.
     Both conditions must be met by the same cycle.  The report lists, per
-    subgraph, the certifying cycle or the failure reason.
+    subgraph, the certifying cycle or the failure reason.  The condition is
+    sufficient; on every connected graph with 3 to 7 nodes it is also
+    necessary (it agrees with ``equivalence_counterexample``), and whether
+    that holds in general is open.
 
     One pass of cycle enumeration yields both the maximal cyclic subgraphs
     and their covering cycles, tried in ``(length, tuple)`` order; ``force``

@@ -2,8 +2,8 @@
 
 Every subcommand is a thin adapter over the library; no algorithmic logic
 lives here.  Exit codes: 0 success or absorbed, 1 usage (including an
-output path that cannot be opened or written), 2 input parse, 3 guard
-refusal, 4 max-steps exhaustion.
+output path or a stdout that cannot be opened or written), 2 input parse,
+3 guard refusal, 4 max-steps exhaustion.
 """
 
 from __future__ import annotations
@@ -94,7 +94,31 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     if out:
         with _writing(out):
             Path(out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    with _writing("stdout"):
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            _discard_stdout()
+            raise
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device.
+
+    The interpreter flushes stdout again at exit; once a write has failed,
+    that flush would fail too and print a second error.  A stdout without a
+    descriptor, such as a captured in-process one, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def _check_outputs(args) -> None:

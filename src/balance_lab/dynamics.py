@@ -15,12 +15,12 @@ shared by both processes; an opinion vector, or None for SIH, tells them
 apart.  Runs and steps go through one private kernel that keeps Python-int
 bitsets beside the dense rows: common neighbors are a mask intersection,
 and the violation counts behind those structural tests are updated with
-popcounts after every change.  A full structural scan confirms every
-absorbed result, one absorbed at step 0 included, and the
-definition-literal equilibrium checks that simulate every possible update
-are kept as slower oracles.  A run can log one UpdateEvent per step,
-collected into its record or handed to a callable as it is drawn, or
-write each step's JSON line to a text stream, filled in by the kernel.
+popcounts after every change.  The definition-literal equilibrium checks,
+which simulate every possible update, confirm every absorbed result, one
+absorbed at step 0 included, and the end of every constructive sequence.
+A run can log one UpdateEvent per step, collected into its record or
+handed to a callable as it is drawn, or write each step's JSON line to a
+text stream, filled in by the kernel.
 Deterministic constructive sequences reach absorption from any start by
 symmetrizing the zero pattern and then applying one legal fix at a time,
 each re-validated against the step preconditions, driving a
@@ -181,40 +181,6 @@ def _candidates(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
         for j in range(n)
         if i != j and (rows[i][j] or rows[j][i])
     ]
-
-
-def _balanced(rows: list[list[int]], n: int) -> bool:
-    # Triad-wise balance: the matrix is symmetric and every triangle of
-    # pair signs has positive product.
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if ri[j] != rows[j][i]:
-                return False
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            sij = ri[j]
-            if not sij:
-                continue
-            rj = rows[j]
-            for k in range(j + 1, n):
-                if ri[k] and rj[k] and sij * ri[k] * rj[k] < 0:
-                    return False
-    return True
-
-
-def _aligned(rows: list[list[int]], y: list[int], n: int) -> bool:
-    # SIOH absorbing test: symmetric matrix with X_ij = y_i * y_j on links.
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            v = ri[j]
-            if v != rows[j][i]:
-                return False
-            if v and v != y[i] * y[j]:
-                return False
-    return True
 
 
 def _bad_tris_through(pos: list[int], neg: list[int], a: int, b: int, v: int) -> int:
@@ -450,9 +416,9 @@ class _Kernel:
         return absorbed, t
 
 
-def _absorbing(rows: list[list[int]], y: Optional[list[int]], n: int) -> bool:
-    # The structural scan: triad-wise balance for SIH (y None), alignment for SIOH.
-    return _balanced(rows, n) if y is None else _aligned(rows, y, n)
+def _equilibrium(x: AppraisalMatrix, y: Optional[tuple[int, ...]]) -> bool:
+    # The definition-literal check of the process: SIH for y None, else SIOH.
+    return is_sih_equilibrium(x) if y is None else is_sioh_equilibrium(SiohState(x, y))
 
 
 def _require_legal(rows, y, i, j, mechanism, k, new) -> None:
@@ -499,15 +465,13 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
     absorbed, t = True, 0
     if not kernel.absorbed():
         absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels, 0, lines)
-    if absorbed and not _absorbing(kernel.rows, kernel.y, x0.n):
+    final_x = _freeze(kernel.rows, x0.labels)
+    final_y = None if y0 is None else tuple(kernel.y)
+    if absorbed and not _equilibrium(final_x, final_y):
         scan = "balance" if y0 is None else "alignment"
         raise RuntimeError(f"internal error: ledger disagrees with {scan} scan")
     return AbsorptionRecord(
-        absorbed,
-        t,
-        _freeze(kernel.rows, x0.labels),
-        None if y0 is None else tuple(kernel.y),
-        None if events is None else tuple(events),
+        absorbed, t, final_x, final_y, None if events is None else tuple(events)
     )
 
 
@@ -527,7 +491,8 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
     applies, until none is left, the minus side of the first (-1, +1) pair
     by symmetry, or else ``next_fix(rows, y, n)``: an update
     ``(i, j, mechanism, k, new)`` or None.  Every update is re-validated
-    against the step preconditions before it is recorded and written.
+    against the step preconditions before it is recorded and written, and
+    the end state must pass the process's definition-literal equilibrium check.
     """
     rows = _row_lists(x0)
     y = None if y0 is None else list(y0)
@@ -567,12 +532,12 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
             break
         apply(*fix)
 
-    if not _absorbing(rows, y, n):
+    final_x = _freeze(rows, labels)
+    final_y = None if y is None else tuple(y)
+    if not _equilibrium(final_x, final_y):
         ended = "unbalanced" if y is None else "unaligned"
         raise RuntimeError(f"internal error: constructive sequence ended {ended}")
-    return AbsorptionRecord(
-        True, len(events), _freeze(rows, labels), None if y is None else tuple(y), tuple(events)
-    )
+    return AbsorptionRecord(True, len(events), final_x, final_y, tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +595,7 @@ def run_sih(
 
     Deterministic given (x0, params, seed).  Absorption is detected by the
     kernel's incremental violation counts after every state change and
-    confirmed by a full balance scan at the end; hitting ``max_steps``
+    confirmed by ``is_sih_equilibrium`` at the end; hitting ``max_steps``
     without absorbing is reported, not raised.
 
     ``log=True`` collects one UpdateEvent per step into ``record.events``.
@@ -690,10 +655,10 @@ def sioh_step(
 def is_sioh_equilibrium(state: SiohState) -> bool:
     """No possible SIOH update changes the pair (X, y).
 
-    Literal check over every candidate pair: the forced symmetry on zero
-    entries, the gossip and person-opinion outcomes, and all embedded SIH
-    outcomes.  Coincides with sign-symmetric X whose links satisfy
-    X_ij = y_i * y_j.
+    Literal check over every candidate pair of what SIOH adds: the forced
+    symmetry on a zero entry, and the gossip and person-opinion outcomes;
+    the embedded SIH outcomes are ``is_sih_equilibrium``'s.  Coincides with
+    sign-symmetric X whose links satisfy X_ij = y_i * y_j.
     """
     rows = state.x.rows
     y = state.y
@@ -704,20 +669,13 @@ def is_sioh_equilibrium(state: SiohState) -> bool:
             if i == j or not (ri[j] or rows[j][i]):
                 continue
             v = ri[j]
+            # A zero entry takes symmetry alone, which copies the nonzero X_ji.
             if v == 0:
                 return False
-            if v * y[j] != y[i]:
+            # Opinion gossip (y_i <- X_ij y_j), person-opinion homophily (X_ij <- y_i y_j).
+            if v * y[j] != y[i] or y[i] * y[j] != v:
                 return False
-            if y[i] * y[j] != v:
-                return False
-            if rows[j][i] != v:
-                return False
-            rj = rows[j]
-            for k in range(n):
-                if k != i and k != j and ri[k] and rj[k]:
-                    if ri[k] * rows[k][j] != v or ri[k] * rj[k] != v:
-                        return False
-    return True
+    return is_sih_equilibrium(state.x)
 
 
 def run_sioh(

@@ -19,7 +19,7 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .dynamics import DEFAULT_MAX_STEPS, SihParams, run_sih
 from .graphs import AppraisalMatrix
@@ -128,6 +128,18 @@ def count_triads(x: AppraisalMatrix) -> int:
     return count
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum, the same on every Python version.
+
+    From Python 3.12 the builtin ``sum`` compensates float rounding, which
+    changes the last digits of a regression and so the study summaries.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:
     """Ordinary least squares of y on x plus the Pearson coefficient.
 
@@ -140,11 +152,11 @@ def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionRes
     m = len(xs)
     if m < 2:
         raise ValueError("regression needs at least two points")
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((v - mean_x) ** 2 for v in xs)
-    syy = sum((v - mean_y) ** 2 for v in ys)
-    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
+    mean_x = _sum(xs) / m
+    mean_y = _sum(ys) / m
+    sxx = _sum((v - mean_x) ** 2 for v in xs)
+    syy = _sum((v - mean_y) ** 2 for v in ys)
+    sxy = _sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
     if sxx == 0.0:
         return RegressionResult(None, mean_y, None, m)
     k = sxy / sxx

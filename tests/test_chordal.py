@@ -510,6 +510,22 @@ class TestEquivalenceConditions:
                 assert verify_equivalence_exhaustive(g)
         assert certified > 30
 
+    def test_conditions_decide_equivalence_on_the_atlas(self):
+        # The paper's condition is only shown sufficient, yet on every
+        # connected graph with 3 to 7 nodes it agrees with the exact answer.
+        graphs = certified = 0
+        for h in nx.graph_atlas_g():
+            if not 3 <= h.number_of_nodes() <= 7 or not nx.is_connected(h):
+                continue
+            g = UndirectedSkeleton.from_edges(
+                h.number_of_nodes(), [(a + 1, b + 1) for a, b in h.edges]
+            )
+            ok, _ = check_equivalence_conditions(g)
+            assert ok == (equivalence_counterexample(g) is None), sorted(g.edges)
+            graphs += 1
+            certified += ok
+        assert (graphs, certified) == (994, 503)
+
 
 class TestExhaustiveVerification:
     def test_triangle_equivalence_holds(self):

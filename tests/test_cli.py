@@ -691,6 +691,18 @@ class TestInputErrors:
         assert out == ""
         assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
+    def test_failed_captured_stdout_leaves_descriptors_alone(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        dup2 = []
+        monkeypatch.setattr(os, "dup2", lambda *args: dup2.append(args))
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["simulate", "--n", "4", "--p", "0.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert dup2 == []
+
     def test_one_node_analyze_reports_null_density(self, tmp_path, capsys):
         path = tmp_path / "one.el"
         path.write_text("n 1\n")
@@ -719,6 +731,29 @@ class TestSubprocessInvocation:
             assert proc.returncode == EXIT_OK, proc.stderr.decode()
             outputs.append((out.read_bytes(), proc.stdout))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "4", "--p", "0.5"],
+            ["analyze", "--input", "{triangle}"],
+        ],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_failed_stdout_is_one_line_usage_error(self, triangle_file, argv, unbuffered):
+        # Buffered, the failed text stays pending, and the interpreter's
+        # exit-time flush of stdout must not fail a second time.
+        argv = [a.format(triangle=triangle_file) for a in argv]
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "balance_lab", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_USAGE, err
+        assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
     def test_usage_error_from_argparse(self):
         proc = subprocess.run(

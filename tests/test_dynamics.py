@@ -726,6 +726,15 @@ class TestRequireLegal:
                 ALL_NEGATIVE_TRIANGLE, None, lambda rows, y, n: (0, 1, INFLUENCE, 0, 1)
             )
 
+    def test_constructive_sih_that_stops_short_raises(self):
+        with pytest.raises(RuntimeError, match="ended unbalanced"):
+            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda rows, y, n: None)
+
+    def test_constructive_sioh_that_stops_short_raises(self):
+        x = symmetric(2, [(1, 2, -1)])
+        with pytest.raises(RuntimeError, match="ended unaligned"):
+            dynamics._constructive(x, (1, 1), lambda rows, y, n: None)
+
 
 class TestPotentials:
     def test_all_positive_is_zero(self):

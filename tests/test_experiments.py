@@ -128,6 +128,14 @@ class TestLinearRegression:
             assert ours.k == pytest.approx(float(k_ne), abs=1e-10)
             assert ours.b == pytest.approx(float(b_ne), abs=1e-10)
 
+    def test_sums_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16, so left to right the y sum is 0.0;
+        # a compensated sum (the builtin on Python 3.12+) keeps the 1.0.
+        ys = [1e16, 1.0, -1e16]
+        assert math.fsum(ys) == 1.0
+        result = linear_regression([-1, 0, 1], ys)
+        assert result.k == -1e16 and result.b == 0.0 and result.r == -1.0
+
     def test_errors(self):
         with pytest.raises(ValueError, match="equal length"):
             linear_regression([1, 2], [1, 2, 3])
