@@ -41,6 +41,7 @@ from .balance import (
     cycle_sign,
     enumerate_simple_cycles,
     all_cycles_positive,
+    ego_networks_two_faction,
     all_ego_networks_two_faction,
 )
 from .chordal import (

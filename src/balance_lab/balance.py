@@ -18,12 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (
-    AppraisalMatrix,
-    UndirectedSkeleton,
-    ego_network,
-    is_sign_symmetric,
-)
+from .graphs import AppraisalMatrix, UndirectedSkeleton, is_sign_symmetric
 
 Cycle = tuple[int, ...]
 
@@ -277,10 +272,54 @@ def all_cycles_positive(x: AppraisalMatrix) -> bool:
     return detect_two_faction(x) is not None
 
 
+def _two_faction_colouring(rows: tuple[tuple[int, ...], ...], members: list[int]) -> bool:
+    """True iff the positions ``members`` of ``rows`` split into two factions.
+
+    A sign-parity 2-colouring: a member reached over a link takes its
+    neighbour's colour times the link's sign.  Each member, once taken off
+    the stack, is tested against every member coloured so far, in both
+    directions, so every pair is tested against the final colouring: inside
+    a faction no entry is negative, across no entry is positive.  A colour
+    is forced within its component of links, so a failed test means no
+    colouring exists.
+    """
+    colour = [0] * len(rows)
+    for start in members:
+        if colour[start]:
+            continue
+        colour[start] = 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            cu, row = colour[u], rows[u]
+            for v in members:
+                fwd, rev = row[v], rows[v][u]
+                cv = colour[v]
+                if cv:
+                    side = cu * cv
+                    if fwd * side < 0 or rev * side < 0:
+                        return False
+                elif fwd or rev:
+                    colour[v] = cu * (fwd or rev)
+                    stack.append(v)
+    return True
+
+
+def ego_networks_two_faction(x: AppraisalMatrix) -> dict[int, bool]:
+    """Each node's label mapped to whether its ego network is two-faction balanced.
+
+    The verdict for node ``i`` is ``detect_two_faction(ego_network(x, i)[1])
+    is not None``, decided on ``x.rows`` directly: one sign-parity colouring
+    over ``i`` and everyone ``i`` appraises (Harary 1953), with no submatrix
+    or witness built.
+    """
+    rows = x.rows
+    return {
+        label: _two_faction_colouring(rows, [b for b, v in enumerate(rows[a]) if v or b == a])
+        for a, label in enumerate(x.labels)
+    }
+
+
 def all_ego_networks_two_faction(x: AppraisalMatrix) -> bool:
     """True iff every node's ego-network admits a two-faction witness."""
-    for i in x.labels:
-        _, sub = ego_network(x, i)
-        if detect_two_faction(sub) is None:
-            return False
-    return True
+    return all(ego_networks_two_faction(x).values())

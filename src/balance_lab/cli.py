@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,6 @@ from . import balance, chordal, dynamics, experiments
 from .graphs import (
     AppraisalMatrix,
     EdgeListError,
-    ego_network,
     is_bilateral,
     is_sign_symmetric,
     read_edge_list,
@@ -195,10 +195,7 @@ def cmd_analyze(args) -> int:
     x = read_edge_list(args.input)
     balanced, violations = balance.is_triad_wise_balanced(x)
     partition = balance.detect_two_faction(x)
-    ego = {}
-    for node in x.labels:
-        _, sub = ego_network(x, node)
-        ego[str(node)] = balance.detect_two_faction(sub) is not None
+    ego = {str(node): ok for node, ok in balance.ego_networks_two_faction(x).items()}
     report = {
         "n": x.n,
         "bilateral": is_bilateral(x),
@@ -344,7 +341,14 @@ def _add_prob_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> 
         parser.add_argument(f"--{name}", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Building it costs about a millisecond, as much as a small request.
+    Sharing is safe because ``parse_args`` leaves the parser as it was and
+    returns a fresh namespace, the only object the subcommands change.
+    """
     parser = _Parser(prog="balance-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -323,7 +323,7 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
         if len(tokens) != 3:
             raise EdgeListError("expected '<i> <j> <sign>'", line_no)
         try:
-            i, j, s = (int(t) for t in tokens)
+            i, j, s = map(int, tokens)
         except ValueError:
             raise EdgeListError(f"non-integer field in {line!r}", line_no) from None
         try:
@@ -333,7 +333,11 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
         entries.append((i, j, s))
     if n is None:
         raise EdgeListError("missing 'n <count>' header")
-    return AppraisalMatrix.from_edge_list(n, entries)
+    # Every link passed _check_link above; only the grid is left to fill.
+    grid = [[0] * n for _ in range(n)]
+    for i, j, s in entries:
+        grid[i - 1][j - 1] = s
+    return AppraisalMatrix(tuple(map(tuple, grid)))
 
 
 def format_edge_list(x: AppraisalMatrix) -> str:

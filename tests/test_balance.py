@@ -18,6 +18,7 @@ from balance_lab.balance import (
     all_ego_networks_two_faction,
     cycle_sign,
     detect_two_faction,
+    ego_networks_two_faction,
     enumerate_simple_cycles,
     enumerate_triads,
     is_triad_wise_balanced,
@@ -295,6 +296,43 @@ class TestEgoNetworkBalance:
     def test_conflicting_pair_fails_at_node_one(self):
         x = AppraisalMatrix.from_edge_list(2, [(1, 2, 1), (2, 1, -1)])
         assert not all_ego_networks_two_faction(x)
+        assert ego_networks_two_faction(x) == {1: False, 2: False}
+
+    @staticmethod
+    def _case(rng, n, kind):
+        """A matrix of the given kind; every kind but ``independent`` starts planted."""
+        if kind == "independent":
+            return random_matrix(rng, n, rng.random())
+        rows = [list(r) for r in planted_two_faction_matrix(rng, n, rng.random()).rows]
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b and rows[a][b]]
+        if kind == "opposite" and pairs:
+            a, b = rng.choice(pairs)
+            rows[a][b] = -rows[b][a]
+        elif kind == "one-way":
+            for a, b in rng.sample(pairs, len(pairs) // 2):
+                rows[a][b] = 0
+        elif kind == "isolated":
+            for a in rng.sample(range(n), (n + 1) // 2):
+                for b in range(n):
+                    rows[a][b] = rows[b][a] = 0
+        return AppraisalMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("kind", ["independent", "planted", "opposite", "one-way", "isolated"])
+    def test_matches_detect_two_faction_on_each_ego_network(self, kind):
+        rng = random.Random(f"ego-{kind}")
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 13):
+            for _ in range(15):
+                x = self._case(rng, n, kind)
+                got = ego_networks_two_faction(x)
+                want = {i: detect_two_faction(ego_network(x, i)[1]) is not None for i in x.labels}
+                assert got == want, x.rows
+                assert all_ego_networks_two_faction(x) == all(got.values())
+                for ok in got.values():
+                    verdicts[ok] += 1
+        assert verdicts[True] > 0
+        if kind in ("independent", "opposite"):
+            assert verdicts[False] > 0
 
 
 class TestStructuralProperties:

@@ -19,6 +19,7 @@ from balance_lab.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from balance_lab.graphs import AppraisalMatrix, parse_edge_list, read_edge_list
@@ -761,3 +762,60 @@ class TestSubprocessInvocation:
             capture_output=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+
+# One-way links and opposite signs on the pair {4, 5}.
+MIXED_GRAPH = (
+    "n 6\n1 2 1\n2 1 1\n1 3 -1\n3 1 -1\n2 3 -1\n3 4 1\n4 3 1\n"
+    "4 5 1\n5 4 -1\n1 4 -1\n5 1 1\n6 2 -1\n"
+)
+
+
+class TestReusedParser:
+    """``main`` shares one parser per process; no call may leave state for the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_seed_of_an_earlier_call_does_not_leak(self, triangle_file, capsys):
+        # With --input, the constructive engine refuses --seed: a leaked 3 would exit 1.
+        assert main(["simulate", "--n", "4", "--p", "0.5", "--seed", "3"]) == EXIT_OK
+        assert main(["simulate", "--engine", "constructive", "--input", triangle_file]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_usage_error_between_two_calls_changes_nothing(self, triangle_file, capsys):
+        argv = ["simulate", "--input", triangle_file, "--engine", "sioh", "--seed", "5"]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(["simulate", "--input", triangle_file, "--max-steps", "0"]) == EXIT_USAGE
+        assert "--max-steps" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_prints_the_same_text_twice(self, argv, capsys):
+        texts = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: balance-lab" in texts[0]
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["equivalence", "--verify-exhaustive"]])
+    def test_output_after_other_calls_equals_a_fresh_process(
+        self, tmp_path, triangle_file, argv, capsys
+    ):
+        path = tmp_path / "mixed.el"
+        path.write_text(MIXED_GRAPH)
+        argv = [argv[0], "--input", str(path)] + argv[1:]
+        main(["simulate", "--n", "6", "--p", "0.5", "--p-neg", "0.5", "--seed", "2"])
+        main(["analyze", "--input", triangle_file, "--out", str(tmp_path / "t.json")])
+        main(["equivalence", "--input", triangle_file, "--force"])
+        main(["analyze"])
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "balance_lab", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == EXIT_OK
