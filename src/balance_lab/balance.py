@@ -14,9 +14,8 @@ with an explicit ``force`` override.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import AppraisalMatrix, UndirectedSkeleton, is_sign_symmetric
 
@@ -146,55 +145,28 @@ def _partition_respects_signs(x: AppraisalMatrix, part: FactionPartition) -> boo
 def detect_two_faction(x: AppraisalMatrix) -> Optional[FactionPartition]:
     """Find a two-faction witness, or None when no valid bipartition exists.
 
-    Each unordered pair contributes a "same faction" constraint when either
-    direction is positive and a "different faction" constraint when either
-    is negative; a pair carrying both is immediately infeasible.  Components
-    of the constraint graph are then 2-colored independently and merged,
-    which scales well past the cycle-enumeration guard.  The returned
-    partition is re-verified against the definition before being returned.
+    A matrix with no negative entry gets the ``no-negative-links`` witness.
+    Otherwise one sign-parity colouring of all positions decides
+    (``_two_faction_colouring``, Harary 1953), which scales well past the
+    cycle-enumeration guard.  The witness is read off the colouring: ``v1``
+    holds the first position of each link component and every node coloured
+    like it, so an isolated node lands in ``v1``.  The partition is
+    re-verified against the definition, pair by pair, before it is returned.
     """
     rows = x.rows
     labels = x.labels
-    n = x.n
     if not any(v < 0 for row in rows for v in row):
         return FactionPartition(NO_NEGATIVE_LINKS, frozenset(labels))
-    constraint: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            same = rows[a][b] > 0 or rows[b][a] > 0
-            diff = rows[a][b] < 0 or rows[b][a] < 0
-            if same and diff:
-                return None
-            if same:
-                constraint[(a, b)] = 1
-            elif diff:
-                constraint[(a, b)] = -1
-    adjacency: dict[int, list[tuple[int, int]]] = {a: [] for a in range(n)}
-    for (a, b), rel in constraint.items():
-        adjacency[a].append((b, rel))
-        adjacency[b].append((a, rel))
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b, rel in adjacency[a]:
-                want = color[a] if rel == 1 else 1 - color[a]
-                if color[b] == -1:
-                    color[b] = want
-                    queue.append(b)
-                elif color[b] != want:
-                    return None
+    colour = _two_faction_colouring(rows, range(x.n))
+    if colour is None:
+        return None
     part = FactionPartition(
         TWO_FACTION,
-        frozenset(labels[a] for a in range(n) if color[a] == 0),
-        frozenset(labels[a] for a in range(n) if color[a] == 1),
+        frozenset(label for label, c in zip(labels, colour) if c > 0),
+        frozenset(label for label, c in zip(labels, colour) if c < 0),
     )
     if not _partition_respects_signs(x, part):
-        raise RuntimeError("internal error: constraint coloring produced an invalid partition")
+        raise RuntimeError("internal error: sign-parity colouring produced an invalid partition")
     return part
 
 
@@ -272,15 +244,24 @@ def all_cycles_positive(x: AppraisalMatrix) -> bool:
     return detect_two_faction(x) is not None
 
 
-def _two_faction_colouring(rows: tuple[tuple[int, ...], ...], members: list[int]) -> bool:
-    """True iff the positions ``members`` of ``rows`` split into two factions.
+def _two_faction_colouring(
+    rows: tuple[tuple[int, ...], ...], members: Sequence[int]
+) -> Optional[list[int]]:
+    """A two-faction colouring of the positions ``members`` of ``rows``, or None.
 
-    A sign-parity 2-colouring: a member reached over a link takes its
-    neighbour's colour times the link's sign.  Each member, once taken off
-    the stack, is tested against every member coloured so far, in both
-    directions, so every pair is tested against the final colouring: inside
-    a faction no entry is negative, across no entry is positive.  A colour
-    is forced within its component of links, so a failed test means no
+    The colouring holds +1 or -1 at each member position and 0 at every
+    other position; None means the members split into no two factions.  It
+    is a sign-parity 2-colouring (Harary 1953).  Members are taken in the
+    given order: one not yet reached starts its link component at +1, and a
+    member reached over a link, in either direction, takes its neighbour's
+    colour times the link's sign (the outgoing link's when both exist).
+
+    Each member ``u``, once taken off the stack, tests its own row against
+    every member coloured so far: inside a faction no entry is negative,
+    across no entry is positive.  Every member comes off the stack, so every
+    entry is tested against the final colouring, except an entry of ``u``
+    that just coloured its target and agrees with it by construction.  A
+    colour is forced within its link component, so a failed test means no
     colouring exists.
     """
     colour = [0] * len(rows)
@@ -293,16 +274,16 @@ def _two_faction_colouring(rows: tuple[tuple[int, ...], ...], members: list[int]
             u = stack.pop()
             cu, row = colour[u], rows[u]
             for v in members:
-                fwd, rev = row[v], rows[v][u]
                 cv = colour[v]
                 if cv:
-                    side = cu * cv
-                    if fwd * side < 0 or rev * side < 0:
-                        return False
-                elif fwd or rev:
-                    colour[v] = cu * (fwd or rev)
-                    stack.append(v)
-    return True
+                    if row[v] * cu * cv < 0:
+                        return None
+                else:
+                    link = row[v] or rows[v][u]
+                    if link:
+                        colour[v] = cu * link
+                        stack.append(v)
+    return colour
 
 
 def ego_networks_two_faction(x: AppraisalMatrix) -> dict[int, bool]:
@@ -316,6 +297,7 @@ def ego_networks_two_faction(x: AppraisalMatrix) -> dict[int, bool]:
     rows = x.rows
     return {
         label: _two_faction_colouring(rows, [b for b, v in enumerate(rows[a]) if v or b == a])
+        is not None
         for a, label in enumerate(x.labels)
     }
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import balance, chordal, dynamics, experiments
 from .graphs import (
+    NODE_LIMIT,
     AppraisalMatrix,
     EdgeListError,
     is_bilateral,
@@ -54,8 +55,8 @@ class _UsageError(Exception):
     pass
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: Optional[int] = None):
+    """argparse type: an integer no smaller than ``low`` and, given ``high``, no larger."""
 
     def parse(text: str) -> int:
         try:
@@ -64,6 +65,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -367,25 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one trajectory to absorption")
     simulate.add_argument("--input", default=None, help="edge-list file")
-    simulate.add_argument("--n", type=_int_at_least(2), default=None)
+    simulate.add_argument("--n", type=_int_in(2, NODE_LIMIT), default=None)
     simulate.add_argument("--p", type=_probability, default=None)
     simulate.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
     simulate.add_argument("--engine", choices=("sih", "sioh", "constructive"), default="sih")
     # None until cmd_simulate has refused them where they would be ignored.
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--max-steps", type=_int_at_least(1), default=None)
+    simulate.add_argument("--max-steps", type=_int_in(1), default=None)
     simulate.add_argument("--out", default=None, help="write the final state edge list here")
     simulate.add_argument("--log", default=None, help="write one JSON event per line here")
     _add_prob_flags(simulate, ("p1", "p2", "p3", "q1", "q2", "q3"))
 
     experiment = sub.add_parser("experiment", help="Monte-Carlo study batch")
     experiment.add_argument("--study", choices=tuple(experiments.STUDIES), required=True)
-    experiment.add_argument("--n", type=_int_at_least(2), default=8)
+    experiment.add_argument("--n", type=_int_in(2, NODE_LIMIT), default=8)
     experiment.add_argument("--p", type=_probability, default=None)
     experiment.add_argument("--p-neg", type=_probability, default=None, dest="p_neg")
-    experiment.add_argument("--trials", type=_int_at_least(2), default=3000)
+    experiment.add_argument("--trials", type=_int_in(2), default=3000)
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_MAX_STEPS)
+    experiment.add_argument("--max-steps", type=_int_in(1), default=dynamics.DEFAULT_MAX_STEPS)
     experiment.add_argument("--out", required=True, help="CSV output path")
     experiment.add_argument("--summary", default=None, help="also write the JSON summary here")
     _add_prob_flags(experiment, ("p1", "p2", "p3"))

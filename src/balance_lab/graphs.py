@@ -17,6 +17,12 @@ from pathlib import Path
 from typing import Iterable, Iterator, Union
 
 
+# Largest node count an edge-list header or a ``--n`` flag may ask for.  Every
+# matrix is a dense n-by-n grid: parsing an edge list at this ceiling peaks at
+# about 400 MB, and the peak grows with n squared.
+NODE_LIMIT = 4096
+
+
 class EdgeListError(ValueError):
     """A problem in the plain-text edge-list format."""
 
@@ -319,6 +325,8 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
                 raise EdgeListError(f"bad node count {tokens[1]!r}", line_no) from None
             if n < 1:
                 raise EdgeListError("node count must be positive", line_no)
+            if n > NODE_LIMIT:
+                raise EdgeListError(f"node count {n} exceeds the ceiling of {NODE_LIMIT}", line_no)
             continue
         if len(tokens) != 3:
             raise EdgeListError("expected '<i> <j> <sign>'", line_no)

@@ -126,3 +126,36 @@ def random_connected_skeleton(rng: random.Random, n: int, extra_p: float = 0.3) 
 def cycles_positive_by_enumeration(x: AppraisalMatrix) -> bool:
     """Oracle: every simple cycle of the skeleton, enumerated, has positive sign."""
     return all(cycle_sign(x, c) > 0 for c in enumerate_simple_cycles(skeleton(x)))
+
+
+def two_faction_by_union_find(x: AppraisalMatrix) -> bool:
+    """Oracle: union-find with side parity over every nonzero entry.
+
+    A positive entry X_ab puts a and b on the same side, a negative one on
+    opposite sides.  Each node keeps its side relative to its parent, so a
+    root's tree knows every member's side; the matrix is two-faction
+    balanced iff no entry asks for the side it does not get.
+    """
+    parent = list(range(x.n))
+    flip = [0] * x.n  # 1 when a node sits opposite its parent
+
+    def find(a: int) -> tuple[int, int]:
+        side = 0
+        while parent[a] != a:
+            side ^= flip[a]
+            a = parent[a]
+        return a, side
+
+    for a, row in enumerate(x.rows):
+        for b, v in enumerate(row):
+            if not v:
+                continue
+            apart = int(v < 0)
+            (ra, sa), (rb, sb) = find(a), find(b)
+            if ra == rb:
+                if sa ^ sb != apart:
+                    return False
+            else:
+                parent[ra] = rb
+                flip[ra] = sa ^ sb ^ apart
+    return True

@@ -33,6 +33,7 @@ from conftest import (
     random_connected_symmetric,
     random_matrix,
     random_symmetric_matrix,
+    two_faction_by_union_find,
 )
 
 
@@ -157,6 +158,44 @@ class TestDetectTwoFaction:
         for _ in range(200):
             x = random_matrix(rng, rng.randrange(2, 6), p_nonzero=0.5)
             assert (detect_two_faction(x) is not None) == brute_force_two_faction(x)
+
+    def test_agreement_with_union_find_oracle(self):
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 13):
+            for _ in range(40):
+                x = random_matrix(rng, n, rng.choice((0.05, 0.15, 0.3, 0.6)))
+                want = two_faction_by_union_find(x)
+                assert (detect_two_faction(x) is not None) == want, x.rows
+                verdicts[want] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_witness_orientation(self):
+        # v1 takes the lowest-positioned node of every link component, so an
+        # isolated node (a component of one) lands in v1; labels are
+        # increasing, so lowest position means lowest label.
+        rng = random.Random(8)
+        split = isolated = 0
+        for _ in range(200):
+            n = rng.randrange(2, 16)
+            rows = [list(r) for r in planted_two_faction_matrix(rng, n, rng.choice((0.1, 0.2, 0.4))).rows]
+            for a in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+                for b in range(n):
+                    rows[a][b] = rows[b][a] = 0
+            for a, b in itertools.permutations(range(n), 2):
+                if rows[a][b] and rng.random() < 0.25:
+                    rows[a][b] = 0
+            x = AppraisalMatrix.from_rows(rows, sorted(rng.sample(range(1, 100), n)))
+            part = detect_two_faction(x)
+            assert part is not None
+            assert part.v1 | part.v2 == frozenset(x.labels)
+            components = list(nx.connected_components(to_nx(skeleton(x))))
+            for component in components:
+                assert min(component) in part.v1
+            isolated += sum(len(c) == 1 for c in components)
+            if part.kind == TWO_FACTION and sum(len(c) > 1 for c in components) > 1:
+                split += 1
+        assert split > 0 and isolated > 0
 
     def test_returned_partition_respects_definition(self):
         rng = random.Random(6)
@@ -325,8 +364,10 @@ class TestEgoNetworkBalance:
             for _ in range(15):
                 x = self._case(rng, n, kind)
                 got = ego_networks_two_faction(x)
-                want = {i: detect_two_faction(ego_network(x, i)[1]) is not None for i in x.labels}
+                egos = {i: ego_network(x, i)[1] for i in x.labels}
+                want = {i: detect_two_faction(ego) is not None for i, ego in egos.items()}
                 assert got == want, x.rows
+                assert got == {i: two_faction_by_union_find(ego) for i, ego in egos.items()}, x.rows
                 assert all_ego_networks_two_faction(x) == all(got.values())
                 for ok in got.values():
                     verdicts[ok] += 1

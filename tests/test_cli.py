@@ -22,7 +22,7 @@ from balance_lab.cli import (
     build_parser,
     main,
 )
-from balance_lab.graphs import AppraisalMatrix, parse_edge_list, read_edge_list
+from balance_lab.graphs import NODE_LIMIT, AppraisalMatrix, parse_edge_list, read_edge_list
 
 POSITIVE_TRIANGLE = "n 3\n1 2 1\n2 1 1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
 ONE_NEGATIVE_TRIANGLE = "n 3\n1 2 -1\n2 1 -1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
@@ -323,6 +323,84 @@ class TestSimulateArgvFuzz:
                 assert read_edge_list(final).n == payload["n"]
 
 
+# Node counts past the ceiling, refused before any grid is built.
+_OVER_CEILING = [NODE_LIMIT + 1, 99999999999999999999]
+
+# Weight flags: none, a full valid set, an incomplete set, a set that does not sum to 1.
+_EXPERIMENT_WEIGHTS = [
+    [],
+    ["--p1", "0.5", "--p2", "0.3", "--p3", "0.2"],
+    ["--p1", "0.5"],
+    ["--p1", "0.5", "--p2", "0.4", "--p3", "0.2"],
+]
+
+
+def _study_flags(study):
+    """``--study`` and its ``--p``/``--p-neg`` flags: mostly the fixed ones it needs, else any."""
+    drawn = experiments.STUDIES[study]
+    value = st.floats(0, 1).map(repr)
+    needed = st.tuples(*(
+        st.just([]) if name == drawn else value.map(lambda v, flag=flag: [flag, v])
+        for name, flag in (("p", "--p"), ("p_neg", "--p-neg"))
+    ))
+    anything = st.tuples(_optional("--p", value), _optional("--p-neg", value))
+    return st.one_of(needed, needed, anything).map(lambda flags: ["--study", study] + flags[0] + flags[1])
+
+
+_EXPERIMENT_ARGV = st.builds(
+    lambda *parts: ["experiment"] + [arg for part in parts for arg in part],
+    st.sampled_from(tuple(experiments.STUDIES)).flatmap(_study_flags),
+    st.one_of(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6), st.sampled_from(_OVER_CEILING)).map(
+        lambda n: ["--n", str(n)]
+    ),
+    st.integers(2, 5).map(lambda trials: ["--trials", str(trials)]),
+    _optional("--seed", st.integers(-(10**6), 10**6)),
+    _optional("--max-steps", st.integers(1, 500)),
+    st.sampled_from(_EXPERIMENT_WEIGHTS + _EXPERIMENT_WEIGHTS[:2]),
+)
+
+
+def _experiment_should_run(argv):
+    """Whether ``argv`` from ``_EXPERIMENT_ARGV`` names a study the CLI must run."""
+    study = argv[argv.index("--study") + 1]
+    fixed = {name: f"--{name}" in argv for name in ("p", "p-neg")}
+    drawn = {"c0": "p-neg", "density": "p", "triads": None}[study]
+    weights = argv[argv.index("--p1"):] if "--p1" in argv else []
+    return (
+        int(argv[argv.index("--n") + 1]) <= NODE_LIMIT
+        and all(fixed[name] == (name != drawn) for name in fixed)
+        and weights in _EXPERIMENT_WEIGHTS[:2]
+    )
+
+
+class TestExperimentArgvFuzz:
+    """Generated ``experiment`` argv: exit 0 or 1, never a traceback; the CSV holds every trial."""
+
+    @given(_EXPERIMENT_ARGV, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_experiment(self, argv, with_summary):
+        with tempfile.TemporaryDirectory() as tmp:
+            trials_csv, summary = os.path.join(tmp, "trials.csv"), os.path.join(tmp, "summary.json")
+            full = argv + ["--out", trials_csv] + ["--summary", summary] * with_summary
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(full)
+            if not _experiment_should_run(argv):
+                assert code == EXIT_USAGE, (argv, code, err.getvalue())
+                assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, argv
+                assert "Traceback" not in err.getvalue()
+                assert os.listdir(tmp) == [], argv
+                return
+            assert code == EXIT_OK and err.getvalue() == "", (argv, code, err.getvalue())
+            trials = int(argv[argv.index("--trials") + 1])
+            assert json.loads(out.getvalue())["trials"] == trials
+            with open(trials_csv, encoding="utf-8") as handle:
+                assert len(handle.read().splitlines()) == trials + 1
+            if with_summary:
+                with open(summary, encoding="utf-8") as handle:
+                    assert handle.read() == out.getvalue()
+
+
 class TestSimulate:
     def test_balanced_input_zero_steps(self, triangle_file, capsys):
         code = main(["simulate", "--input", triangle_file, "--engine", "sih", "--seed", "1"])
@@ -617,6 +695,40 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("n", _OVER_CEILING)
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "--input", "{graph}"], EXIT_PARSE),
+            (["simulate", "--n", "{n}", "--p", "0.5"], EXIT_USAGE),
+            (["experiment", "--study", "c0", "--n", "{n}", "--p", "0.4", "--trials", "2",
+              "--out", "{dir}/trials.csv"], EXIT_USAGE),
+        ],
+        ids=["analyze-header", "simulate-n", "experiment-n"],
+    )
+    def test_node_count_over_the_ceiling_is_refused_before_any_grid(
+        self, tmp_path, capsys, argv, code, n
+    ):
+        graph = tmp_path / "big.el"
+        graph.write_text(f"n {n}\n1 2 1\n")
+        argv = [a.format(graph=graph, n=n, dir=tmp_path) for a in argv]
+        build_parser()  # built before tracing starts
+        tracemalloc.start()
+        try:
+            assert main(argv) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        if code == EXIT_PARSE:
+            assert err == f"parse error: line 1: node count {n} exceeds the ceiling of {NODE_LIMIT}\n"
+        else:
+            assert f"argument --n: must be at most {NODE_LIMIT}, got {n}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.el"]
+        # The rows of one grid past the ceiling alone take over 100 MB.
+        assert peak < 2**20, peak
 
     def test_directory_input_is_parse_error(self, tmp_path, capsys):
         assert main(["simulate", "--input", str(tmp_path)]) == EXIT_PARSE
