@@ -15,9 +15,15 @@ with an explicit ``force`` override.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .graphs import AppraisalMatrix, UndirectedSkeleton, is_sign_symmetric
+from .graphs import (
+    AppraisalMatrix,
+    UndirectedSkeleton,
+    _link_masks,
+    _triangle_walk,
+    is_sign_symmetric,
+)
 
 Cycle = tuple[int, ...]
 
@@ -79,25 +85,38 @@ class FactionPartition:
         raise ValueError(f"node {node} not covered by partition")
 
 
+def _directed_triads(
+    rows: tuple[tuple[int, ...], ...], adj: list[int]
+) -> Iterator[tuple[int, int, int]]:
+    # Directed 3-cycles as positions, over the triangles of the skeleton
+    # masks ``adj``: (a, b, c) then (a, c, b) for each a < b < c.
+    for a, b, c in _triangle_walk(adj):
+        if rows[a][b] and rows[b][c] and rows[c][a]:
+            yield a, b, c
+        if rows[a][c] and rows[c][b] and rows[b][a]:
+            yield a, c, b
+
+
+def _skeleton_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    # Per position, the mask of everyone linked to it in either direction.
+    out, into = _link_masks(rows)
+    return [o | i for o, i in zip(out, into)]
+
+
 def enumerate_triads(x: AppraisalMatrix) -> list[Cycle]:
     """All directed 3-cycles, one per orientation, min node first.
 
     A triple {a, b, c} contributes (a, b, c) when X_ab, X_bc, X_ca are all
     nonzero and (a, c, b) when X_ac, X_cb, X_ba are; a fully bilateral
-    triangle therefore shows up twice, once per direction.
+    triangle therefore shows up twice, once per direction.  Triples come in
+    lexicographic order.  Only the triangles of the skeleton are visited,
+    found by intersecting per-node link masks, so the cost grows with links
+    and triangles rather than with n^3.
     """
-    rows = x.rows
-    labels = x.labels
-    n = x.n
-    triads: list[Cycle] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if rows[a][b] and rows[b][c] and rows[c][a]:
-                    triads.append((labels[a], labels[b], labels[c]))
-                if rows[a][c] and rows[c][b] and rows[b][a]:
-                    triads.append((labels[a], labels[c], labels[b]))
-    return triads
+    rows, labels = x.rows, x.labels
+    return [
+        (labels[a], labels[b], labels[c]) for a, b, c in _directed_triads(rows, _skeleton_masks(rows))
+    ]
 
 
 def is_triad_wise_balanced(
@@ -107,22 +126,26 @@ def is_triad_wise_balanced(
 
     A pair {i, j} violates when some direction is nonzero but the product
     X_ij * X_ji is not positive.  A directed triad violates when its sign
-    product is negative.
+    product is negative.  Pairs come first, in label order, then triads in
+    ``enumerate_triads`` order; both are read positionally off the link
+    masks, so the cost grows with links and triangles.
     """
     rows = x.rows
     labels = x.labels
+    adj = _skeleton_masks(rows)
     violations: list[BalanceViolation] = []
-    for a in range(x.n):
-        for b in range(a + 1, x.n):
-            fwd, rev = rows[a][b], rows[b][a]
-            if (fwd or rev) and fwd * rev <= 0:
-                violations.append(
-                    BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b]))
-                )
-    for tri in enumerate_triads(x):
-        i, j, k = tri
-        if x.entry(i, j) * x.entry(j, k) * x.entry(k, i) < 0:
-            violations.append(BalanceViolation(NEGATIVE_TRIAD, tri))
+    for a, mask in enumerate(adj):
+        row = rows[a]
+        above = mask >> a + 1 << a + 1
+        while above:
+            low = above & -above
+            above ^= low
+            b = low.bit_length() - 1
+            if row[b] * rows[b][a] <= 0:
+                violations.append(BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b])))
+    for a, b, c in _directed_triads(rows, adj):
+        if rows[a][b] * rows[b][c] * rows[c][a] < 0:
+            violations.append(BalanceViolation(NEGATIVE_TRIAD, (labels[a], labels[b], labels[c])))
     return (not violations, violations)
 
 
@@ -155,7 +178,7 @@ def detect_two_faction(x: AppraisalMatrix) -> Optional[FactionPartition]:
     """
     rows = x.rows
     labels = x.labels
-    if not any(v < 0 for row in rows for v in row):
+    if not x.negative_count():
         return FactionPartition(NO_NEGATIVE_LINKS, frozenset(labels))
     colour = _two_faction_colouring(rows, range(x.n))
     if colour is None:

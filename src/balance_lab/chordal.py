@@ -11,9 +11,11 @@ its ear (a triangle on three consecutive cycle nodes).  A skeleton
 on which every maximal cyclic subgraph admits a subchordal covering cycle
 whose chords split nicely guarantees that triad-wise and two-faction
 balance coincide for every sign assignment.  This module certifies that
-condition, and decides the equivalence itself exactly by GF(2) elimination
-over the triangle vectors; the exhaustive search over sign assignments on
-small graphs stays as its oracle.
+condition, and decides the equivalence itself exactly over GF(2): by one
+rank count of the triangle vectors against the cycle rank, and, when they
+differ, by the parity of null vectors against fundamental cycles; the
+exhaustive search over sign assignments on small graphs stays as its
+oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .balance import (
     detect_two_faction,
     enumerate_simple_cycles,
 )
-from .graphs import AppraisalMatrix, UndirectedSkeleton
+from .graphs import AppraisalMatrix, UndirectedSkeleton, _triangle_walk
 
 EXHAUSTIVE_EDGE_LIMIT = 14
 
@@ -354,16 +356,32 @@ def check_equivalence_conditions(
 
 
 def _triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
+    # Every triangle once, as sorted nodes in lexicographic order.
     nodes = g.nodes
-    out = []
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            if not g.has_edge(nodes[ai], nodes[bi]):
-                continue
-            for ci in range(bi + 1, len(nodes)):
-                if g.has_edge(nodes[ai], nodes[ci]) and g.has_edge(nodes[bi], nodes[ci]):
-                    out.append((nodes[ai], nodes[bi], nodes[ci]))
-    return out
+    pos = dict(zip(nodes, range(len(nodes))))
+    adj = [0] * len(nodes)
+    for u, v in g.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    return [(nodes[a], nodes[b], nodes[c]) for a, b, c in _triangle_walk(adj)]
+
+
+def _fundamental_cycles(g: UndirectedSkeleton, index: dict[tuple[int, int], int]) -> list[int]:
+    # Edge bit vectors of the fundamental cycles of a spanning forest, one
+    # per non-forest edge: m - n + c of them, a basis of the cycle space.
+    path: dict[int, int] = {}  # node -> edge bits of its forest path to its root
+    for root in g.nodes:
+        if root in path:
+            continue
+        path[root] = 0
+        reached = [root]
+        for u in reached:
+            for v in g.neighbors(u):
+                if v not in path:
+                    path[v] = path[u] | 1 << index[_pair(u, v)]
+                    reached.append(v)
+    cycles = (path[u] ^ path[v] ^ 1 << t for (u, v), t in index.items())
+    return [z for z in cycles if z]
 
 
 def _signed(
@@ -382,14 +400,20 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
 
     Signs are GF(2) bits over ``sorted(g.edges)`` (negative = 1): triad-wise
     balanced assignments form the null space of the triangle vectors, and
-    two-faction balanced ones its cut subspace (Harary 1953).  With the
-    triangle vectors fully reduced on their highest edge index, the null
-    vector of a free edge ``f`` has no set bit before ``f``, so the last
-    free edge whose null vector lacks a two-faction witness gives the
+    two-faction balanced ones the assignments with an even number of
+    negative edges on every cycle (Harary 1953), that is, even parity
+    against each fundamental cycle of a spanning forest.  The triangles are
+    cycles, so when their rank equals the number of fundamental cycles,
+    m - n + c, they span the cycle space, the two subspaces coincide, and
+    the answer is None at once: the notions coincide on ``g`` (asymmetric
+    assignments fail both).  Otherwise, with the triangle vectors fully
+    reduced on their highest edge index, the null vector of a free edge
+    ``f`` has no set bit before ``f``, so the last free edge whose null
+    vector has odd parity against some fundamental cycle gives the
     lexicographically first separating assignment (edges in order, plus
-    before minus), the one the exhaustive search returns.  None when every null vector,
-    hence their span, has a witness: the notions then coincide on ``g``
-    (asymmetric assignments fail both).  Polynomial, no guard.
+    before minus), the one the exhaustive search returns.  Only that
+    assignment is built, and ``detect_two_faction`` confirms it.
+    Polynomial, no guard.
     """
     edges = sorted(g.edges)
     index = {e: t for t, e in enumerate(edges)}
@@ -400,6 +424,9 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
             v ^= rows[v.bit_length() - 1]
         if v:
             rows[v.bit_length() - 1] = v
+    cycles = _fundamental_cycles(g, index)
+    if len(rows) == len(cycles):
+        return None
     for p in sorted(rows):
         for q in rows:
             if q > p and rows[q] >> p & 1:
@@ -408,10 +435,12 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
         if f in rows:
             continue
         null = 1 << f | sum(1 << p for p, row in rows.items() if row >> f & 1)
-        x = _signed(g, edges, [null >> t & 1 for t in range(len(edges))])
-        if detect_two_faction(x) is None:
+        if any((null & z).bit_count() & 1 for z in cycles):
+            x = _signed(g, edges, [null >> t & 1 for t in range(len(edges))])
+            if detect_two_faction(x) is not None:
+                raise RuntimeError("internal error: an odd-parity cycle left a two-faction witness")
             return x
-    return None
+    raise RuntimeError("internal error: triangle rank below the cycle rank, yet no null vector separates")
 
 
 def _exhaustive_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .dynamics import DEFAULT_MAX_STEPS, SihParams, run_sih
-from .graphs import AppraisalMatrix
+from .graphs import AppraisalMatrix, _check_node_count, _link_masks, _triangle_walk
 from .rng import derive_seed, stream
 
 # Sub-stream tags within one trial.
@@ -47,6 +47,7 @@ class ErParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        _check_node_count(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if not 0.0 <= self.p_neg <= 1.0:
@@ -114,18 +115,13 @@ def link_density(x: AppraisalMatrix) -> Optional[float]:
 
 
 def count_triads(x: AppraisalMatrix) -> int:
-    """Triangles whose three pairs are all bilateral in ``x``."""
-    rows = x.rows
-    n = x.n
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (rows[i][j] and rows[j][i]):
-                continue
-            for k in range(j + 1, n):
-                if rows[i][k] and rows[k][i] and rows[j][k] and rows[k][j]:
-                    count += 1
-    return count
+    """Triangles whose three pairs are all bilateral in ``x``.
+
+    Counted by the triangle walk over each node's bilateral link mask, so
+    the cost grows with links and triangles rather than with n^3.
+    """
+    out, into = _link_masks(x.rows)
+    return sum(1 for _ in _triangle_walk([o & i for o, i in zip(out, into)]))
 
 
 def _sum(values: Iterable[float]) -> float:

@@ -13,14 +13,18 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
-# Largest node count an edge-list header or a ``--n`` flag may ask for.  Every
-# matrix is a dense n-by-n grid: parsing an edge list at this ceiling peaks at
-# about 400 MB, and the peak grows with n squared.
+# Largest node count an edge-list header, a ``--n`` flag, ``AppraisalMatrix.zeros``,
+# ``AppraisalMatrix.from_edge_list`` or ``ErParams`` may ask for.  Every matrix
+# is a dense n-by-n grid: parsing an edge list at this ceiling peaks at about
+# 400 MB, and the peak grows with n squared.
 NODE_LIMIT = 4096
+
+_TERNARY = frozenset((-1, 0, 1))
 
 
 class EdgeListError(ValueError):
@@ -35,6 +39,52 @@ class EdgeListError(ValueError):
 
 def _default_labels(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
+
+
+def _check_node_count(n: int) -> None:
+    """Refuse a node count outside ``1..NODE_LIMIT`` before any grid is built."""
+    if n < 1:
+        raise ValueError("node count must be positive")
+    if n > NODE_LIMIT:
+        raise ValueError(f"node count {n} exceeds the ceiling of {NODE_LIMIT}")
+
+
+def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Per position ``a``, the bit masks of whom ``a`` appraises and of who appraises ``a``.
+
+    One pass over the links: ``compress`` skips the zero entries of a row.
+    """
+    positions = range(len(rows))
+    out, into = [], [0] * len(rows)
+    for a, row in enumerate(rows):
+        bit, mask = 1 << a, 0
+        for b in compress(positions, row):
+            mask |= 1 << b
+            into[b] |= bit
+        out.append(mask)
+    return out, into
+
+
+def _triangle_walk(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Every triangle of a symmetric adjacency, as positions ``a < b < c``.
+
+    ``adj[a]`` is the bit mask of ``a``'s neighbours.  Triangles come in
+    lexicographic order.  Each edge ``{a, b}``, ``a < b``, meets its common
+    neighbours above ``b`` in one mask intersection, so the walk costs by
+    links and triangles rather than by node triples; it lists triangles by
+    neighbour intersection, as Chiba and Nishizeki (1985) do.
+    """
+    for a, mask in enumerate(adj):
+        above = mask >> a + 1 << a + 1
+        while above:
+            low = above & -above
+            above ^= low
+            b = low.bit_length() - 1
+            common = above & adj[b]
+            while common:
+                low = common & -common
+                common ^= low
+                yield a, b, low.bit_length() - 1
 
 
 def _check_link(n: int, i: int, j: int, s: int, seen: set[tuple[int, int]]) -> None:
@@ -56,8 +106,9 @@ class AppraisalMatrix:
 
     ``rows`` is positional storage; ``labels[a]`` is the external id of
     row/column ``a``.  Labels are strictly increasing positive integers, by
-    default ``1..n``.  Dense storage is deliberate: every exact analysis in
-    this toolkit caps out at small n.
+    default ``1..n``.  Storage is dense, but the static analyses read it
+    row by row into per-node link masks, so they cost by links and
+    triangles; construction checks every entry with C-level row operations.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -65,10 +116,10 @@ class AppraisalMatrix:
     _pos: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
-        labels = tuple(int(v) for v in (self.labels or _default_labels(n)))
+        labels = tuple(map(int, self.labels or _default_labels(n)))
         object.__setattr__(self, "labels", labels)
         if len(labels) != n:
             raise ValueError("labels length must match matrix size")
@@ -81,10 +132,10 @@ class AppraisalMatrix:
                 raise ValueError("appraisal matrix must be square")
             if row[a] != 0:
                 raise ValueError(f"diagonal entry for node {labels[a]} must be 0")
-            for v in row:
-                if v not in (-1, 0, 1):
-                    raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
-        object.__setattr__(self, "_pos", {lab: a for a, lab in enumerate(labels)})
+            if not _TERNARY.issuperset(row):
+                v = next(v for v in row if v not in _TERNARY)
+                raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
+        object.__setattr__(self, "_pos", dict(zip(labels, range(n))))
 
     @property
     def n(self) -> int:
@@ -96,8 +147,7 @@ class AppraisalMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "AppraisalMatrix":
-        if n < 1:
-            raise ValueError("node count must be positive")
+        _check_node_count(n)
         return cls(tuple((0,) * n for _ in range(n)))
 
     @classmethod
@@ -115,8 +165,7 @@ class AppraisalMatrix:
         Duplicate ordered pairs are a hard error rather than last-wins:
         silent overwrites hide fixture typos.
         """
-        if n < 1:
-            raise ValueError("node count must be positive")
+        _check_node_count(n)
         grid = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, j, s in entries:
@@ -153,10 +202,10 @@ class AppraisalMatrix:
                     yield (i, j, row[b])
 
     def nonzero_count(self) -> int:
-        return sum(1 for row in self.rows for v in row if v)
+        return self.n * self.n - sum(row.count(0) for row in self.rows)
 
     def negative_count(self) -> int:
-        return sum(1 for row in self.rows for v in row if v < 0)
+        return sum(row.count(-1) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -248,11 +297,7 @@ def is_bilateral(x: AppraisalMatrix) -> bool:
 
 def is_sign_symmetric(x: AppraisalMatrix) -> bool:
     """True iff the matrix equals its transpose (bilateral with matching signs)."""
-    for a in range(x.n):
-        for b in range(a + 1, x.n):
-            if x.rows[a][b] != x.rows[b][a]:
-                return False
-    return True
+    return x.rows == tuple(zip(*x.rows))
 
 
 def ego_network(x: AppraisalMatrix, i: int) -> tuple[frozenset[int], AppraisalMatrix]:
@@ -323,10 +368,10 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
                 n = int(tokens[1])
             except ValueError:
                 raise EdgeListError(f"bad node count {tokens[1]!r}", line_no) from None
-            if n < 1:
-                raise EdgeListError("node count must be positive", line_no)
-            if n > NODE_LIMIT:
-                raise EdgeListError(f"node count {n} exceeds the ceiling of {NODE_LIMIT}", line_no)
+            try:
+                _check_node_count(n)
+            except ValueError as exc:
+                raise EdgeListError(str(exc), line_no) from None
             continue
         if len(tokens) != 3:
             raise EdgeListError("expected '<i> <j> <sign>'", line_no)

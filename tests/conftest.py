@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
-from balance_lab.balance import cycle_sign, enumerate_simple_cycles
+from balance_lab.balance import (
+    ASYMMETRIC_PAIR,
+    NEGATIVE_TRIAD,
+    BalanceViolation,
+    cycle_sign,
+    detect_two_faction,
+    enumerate_simple_cycles,
+)
 from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, skeleton
 
 
@@ -159,3 +167,125 @@ def two_faction_by_union_find(x: AppraisalMatrix) -> bool:
                 parent[ra] = rb
                 flip[ra] = sa ^ sb ^ apart
     return True
+
+
+MATRIX_KINDS = ("independent", "bilateral", "one-way", "empty", "complete")
+
+
+def varied_matrix(rng: random.Random, kind: str) -> AppraisalMatrix:
+    """A 1..13-node matrix of one of the ``MATRIX_KINDS``, on default or gapped labels.
+
+    ``independent`` draws each directed entry on its own, ``bilateral``
+    links pairs both ways with independent signs, ``one-way`` links each
+    pair in at most one direction, ``empty`` has no link and ``complete``
+    links every ordered pair.
+    """
+    n = rng.randrange(1, 14)
+    p = rng.random()
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if kind == "independent":
+                rows[a][b] = rng.choice((-1, 1)) if rng.random() < p else 0
+                rows[b][a] = rng.choice((-1, 1)) if rng.random() < p else 0
+            elif kind == "bilateral" and rng.random() < p:
+                rows[a][b], rows[b][a] = rng.choice((-1, 1)), rng.choice((-1, 1))
+            elif kind == "one-way" and rng.random() < p:
+                a_to_b = rng.random() < 0.5
+                rows[a if a_to_b else b][b if a_to_b else a] = rng.choice((-1, 1))
+            elif kind == "complete":
+                rows[a][b], rows[b][a] = rng.choice((-1, 1)), rng.choice((-1, 1))
+    labels = sorted(rng.sample(range(1, 100), n)) if rng.random() < 0.5 else None
+    return AppraisalMatrix.from_rows(rows, labels)
+
+
+# Literal triple loops and the per-free-edge counterexample scan that the
+# static analyses used before they walked link masks; kept as oracles.
+
+
+def triads_by_triple_loop(x: AppraisalMatrix) -> list[tuple[int, int, int]]:
+    """Oracle for ``enumerate_triads``: every node triple, both orientations."""
+    rows, labels, n = x.rows, x.labels, x.n
+    triads = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if rows[a][b] and rows[b][c] and rows[c][a]:
+                    triads.append((labels[a], labels[b], labels[c]))
+                if rows[a][c] and rows[c][b] and rows[b][a]:
+                    triads.append((labels[a], labels[c], labels[b]))
+    return triads
+
+
+def triad_wise_by_triple_loop(x: AppraisalMatrix) -> tuple[bool, list[BalanceViolation]]:
+    """Oracle for ``is_triad_wise_balanced``: every pair, then every triad read by label."""
+    rows, labels = x.rows, x.labels
+    violations = []
+    for a in range(x.n):
+        for b in range(a + 1, x.n):
+            fwd, rev = rows[a][b], rows[b][a]
+            if (fwd or rev) and fwd * rev <= 0:
+                violations.append(BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b])))
+    for i, j, k in triads_by_triple_loop(x):
+        if x.entry(i, j) * x.entry(j, k) * x.entry(k, i) < 0:
+            violations.append(BalanceViolation(NEGATIVE_TRIAD, (i, j, k)))
+    return (not violations, violations)
+
+
+def bilateral_triads_by_triple_loop(x: AppraisalMatrix) -> int:
+    """Oracle for ``count_triads``: node triples whose three pairs are all bilateral."""
+    rows, n = x.rows, x.n
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (rows[i][j] and rows[j][i]):
+                continue
+            for k in range(j + 1, n):
+                if rows[i][k] and rows[k][i] and rows[j][k] and rows[k][j]:
+                    count += 1
+    return count
+
+
+def skeleton_triangles_by_triple_loop(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
+    """Oracle for ``chordal._triangles``: node triples with all three edges."""
+    nodes = g.nodes
+    out = []
+    for ai in range(len(nodes)):
+        for bi in range(ai + 1, len(nodes)):
+            if not g.has_edge(nodes[ai], nodes[bi]):
+                continue
+            for ci in range(bi + 1, len(nodes)):
+                if g.has_edge(nodes[ai], nodes[ci]) and g.has_edge(nodes[bi], nodes[ci]):
+                    out.append((nodes[ai], nodes[bi], nodes[ci]))
+    return out
+
+
+def counterexample_by_free_edge_scan(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:
+    """Oracle for ``equivalence_counterexample``: one matrix and one
+    ``detect_two_faction`` call per free edge of the reduced triangle vectors,
+    last free edge first, until a null vector has no two-faction witness."""
+    edges = sorted(g.edges)
+    index = {e: t for t, e in enumerate(edges)}
+    pos = {v: a for a, v in enumerate(g.nodes)}
+    rows: dict[int, int] = {}
+    for a, b, c in skeleton_triangles_by_triple_loop(g):
+        v = 1 << index[(a, b)] | 1 << index[(a, c)] | 1 << index[(b, c)]
+        while v and v.bit_length() - 1 in rows:
+            v ^= rows[v.bit_length() - 1]
+        if v:
+            rows[v.bit_length() - 1] = v
+    for p in sorted(rows):
+        for q in rows:
+            if q > p and rows[q] >> p & 1:
+                rows[q] ^= rows[p]
+    for f in reversed(range(len(edges))):
+        if f in rows:
+            continue
+        null = 1 << f | sum(1 << p for p, row in rows.items() if row >> f & 1)
+        grid = [[0] * g.n for _ in range(g.n)]
+        for t, (u, v) in enumerate(edges):
+            grid[pos[u]][pos[v]] = grid[pos[v]][pos[u]] = -1 if null >> t & 1 else 1
+        x = AppraisalMatrix.from_rows(grid, g.nodes)
+        if detect_two_faction(x) is None:
+            return x
+    return None

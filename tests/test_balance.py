@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -23,9 +24,11 @@ from balance_lab.balance import (
     enumerate_triads,
     is_triad_wise_balanced,
 )
+from balance_lab.experiments import count_triads
 from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, ego_network, skeleton
 
 from conftest import (
+    MATRIX_KINDS,
     complete_skeleton,
     cycle_skeleton,
     cycles_positive_by_enumeration,
@@ -33,7 +36,10 @@ from conftest import (
     random_connected_symmetric,
     random_matrix,
     random_symmetric_matrix,
+    triad_wise_by_triple_loop,
+    triads_by_triple_loop,
     two_faction_by_union_find,
+    varied_matrix,
 )
 
 
@@ -92,8 +98,37 @@ class TestEnumerateTriads:
             triangles = sum(nx.triangles(to_nx(skeleton(x))).values()) // 3
             assert len(enumerate_triads(x)) == 2 * triangles
 
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_matches_triple_loop_oracle(self, kind):
+        rng = random.Random(f"triads:{kind}")
+        found = 0
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            triads = enumerate_triads(x)
+            assert triads == triads_by_triple_loop(x), x
+            found += len(triads)
+        assert (found == 0) == (kind == "empty"), found
+
 
 class TestTriadWiseBalance:
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_matches_triple_loop_oracle(self, kind):
+        rng = random.Random(f"triad-wise:{kind}")
+        kinds = set()
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            verdict = is_triad_wise_balanced(x)
+            assert verdict == triad_wise_by_triple_loop(x), x
+            kinds.update(v.kind for v in verdict[1])
+        expected = {
+            "independent": {ASYMMETRIC_PAIR, NEGATIVE_TRIAD},
+            "bilateral": {ASYMMETRIC_PAIR, NEGATIVE_TRIAD},
+            "complete": {ASYMMETRIC_PAIR, NEGATIVE_TRIAD},
+            "one-way": {ASYMMETRIC_PAIR, NEGATIVE_TRIAD},
+            "empty": set(),
+        }
+        assert kinds == expected[kind]
+
     def test_all_positive_triangle(self):
         x = symmetric(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
         assert is_triad_wise_balanced(x) == (True, [])
@@ -416,3 +451,18 @@ def test_violation_list_empty_iff_balanced(seed):
     x = random_matrix(random.Random(seed), 5)
     ok, violations = is_triad_wise_balanced(x)
     assert ok == (not violations)
+
+
+class TestCostByLinks:
+    def test_empty_1024_node_matrix_is_fast(self):
+        # A node-triple scan took about 14 s here; a walk over link masks
+        # has no links to follow.  The bound is loose on purpose.
+        x = AppraisalMatrix.zeros(1024)
+        for check, expected in (
+            (is_triad_wise_balanced, (True, [])),
+            (enumerate_triads, []),
+            (count_triads, 0),
+        ):
+            start = time.perf_counter()
+            assert check(x) == expected
+            assert time.perf_counter() - start < 5.0, check.__name__

@@ -30,8 +30,10 @@ from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, induced_subg
 from conftest import (
     PENTAGON,
     complete_skeleton,
+    counterexample_by_free_edge_scan,
     cycle_skeleton,
     random_connected_skeleton,
+    skeleton_triangles_by_triple_loop,
 )
 
 EPRIME = UndirectedSkeleton.from_edges(
@@ -616,7 +618,38 @@ def assert_separating(g: UndirectedSkeleton, x: AppraisalMatrix) -> None:
     assert detect_two_faction(x) is None
 
 
+def atlas_and_random_skeletons():
+    """Every connected atlas graph on 3 to 7 nodes, then 400 G(n, p) graphs
+    on 1 to 12 nodes, connected or not, with gapped labels on half."""
+    for h in nx.graph_atlas_g():
+        if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h):
+            yield UndirectedSkeleton.from_edges(h.number_of_nodes(), [(a + 1, b + 1) for a, b in h.edges])
+    rng = random.Random(79)
+    for trial in range(400):
+        n = rng.randrange(1, 13)
+        nodes = sorted(rng.sample(range(1, 60), n)) if trial % 2 else list(range(1, n + 1))
+        p = rng.random()
+        yield UndirectedSkeleton.from_edges(nodes, [e for e in itertools.combinations(nodes, 2) if rng.random() < p])
+
+
 class TestEliminationCounterexample:
+    def test_triangles_match_triple_loop_oracle(self):
+        found = 0
+        for g in atlas_and_random_skeletons():
+            triangles = chordal._triangles(g)
+            assert triangles == skeleton_triangles_by_triple_loop(g), sorted(g.edges)
+            found += len(triangles)
+        assert found > 10_000, found
+
+    def test_matches_free_edge_scan_oracle(self):
+        tally = {"none": 0, "found": 0, "disconnected": 0}
+        for g in atlas_and_random_skeletons():
+            x = equivalence_counterexample(g)
+            assert x == counterexample_by_free_edge_scan(g), sorted(g.edges)
+            tally["none" if x is None else "found"] += 1
+            tally["disconnected"] += not g.is_connected()
+        assert min(tally.values()) >= 100, tally
+
     def test_equals_exhaustive_search_on_small_skeletons(self):
         rng = random.Random(71)
         kinds = ("none", "found", "disconnected", "isolated", "tree", "triangle-free")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -89,6 +90,16 @@ class TestAnalyze:
 
     def test_missing_file_is_parse_error(self):
         assert main(["analyze", "--input", "/nonexistent.el"]) == EXIT_PARSE
+
+    def test_empty_1024_node_graph_is_fast(self, tmp_path, capsys):
+        # A node-triple scan took about 14 s here; the bound is loose on purpose.
+        path = tmp_path / "empty.el"
+        path.write_text("n 1024\n")
+        start = time.perf_counter()
+        assert main(["analyze", "--input", str(path)]) == EXIT_OK
+        assert time.perf_counter() - start < 5.0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n"], report["triad_count"], report["violations"]) == (1024, 0, [])
 
     def test_report_matches_library(self, triangle_file, capsys):
         # Thin-adapter check: same numbers as direct library calls.

@@ -20,9 +20,14 @@ from balance_lab.experiments import (
     run_study,
     study_summary,
 )
-from balance_lab.graphs import AppraisalMatrix, is_bilateral
+from balance_lab.graphs import NODE_LIMIT, AppraisalMatrix, is_bilateral
 
-from conftest import random_symmetric_matrix
+from conftest import (
+    MATRIX_KINDS,
+    bilateral_triads_by_triple_loop,
+    random_symmetric_matrix,
+    varied_matrix,
+)
 
 
 def symmetric(n, pairs):
@@ -40,6 +45,12 @@ class TestErParams:
             ErParams(4, 1.5, 0.5)
         with pytest.raises(ValueError):
             ErParams(4, 0.5, -0.1)
+
+    @pytest.mark.parametrize("n", [NODE_LIMIT + 1, 10**20])
+    def test_node_count_over_the_ceiling_is_refused(self, n):
+        # Refused in the parameters, before gen_er_signed builds a grid.
+        with pytest.raises(ValueError, match=f"^node count {n} exceeds the ceiling of {NODE_LIMIT}$"):
+            ErParams(n, 0.5, 0.5)
 
 
 class TestGenErSigned:
@@ -94,6 +105,17 @@ class TestMetrics:
         )
         # pair {1,3} is half-directed, so no fully bilateral triangle.
         assert count_triads(x) == 0
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_count_triads_matches_triple_loop_oracle(self, kind):
+        rng = random.Random(f"count-triads:{kind}")
+        total = 0
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            count = count_triads(x)
+            assert count == bilateral_triads_by_triple_loop(x), x
+            total += count
+        assert (total == 0) == (kind in ("empty", "one-way")), total
 
 
 class TestLinearRegression:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from balance_lab.graphs import (
+    NODE_LIMIT,
     AppraisalMatrix,
     EdgeListError,
     UndirectedSkeleton,
@@ -68,6 +69,18 @@ class TestConstruction:
     def test_values_restricted_to_ternary(self):
         with pytest.raises(ValueError, match="-1, 0 or 1"):
             AppraisalMatrix.from_rows([(0, 2), (0, 0)])
+        # The first offending value in row order is the one reported.
+        with pytest.raises(ValueError, match="got 3$"):
+            AppraisalMatrix.from_rows([(0, 1, 3, 2), (-2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)])
+
+    @pytest.mark.parametrize("n", [NODE_LIMIT + 1, 10**20])
+    def test_node_count_over_the_ceiling_is_refused_before_any_grid(self, n):
+        message = f"node count {n} exceeds the ceiling of {NODE_LIMIT}"
+        with pytest.raises(ValueError) as zeros:
+            AppraisalMatrix.zeros(n)
+        with pytest.raises(ValueError) as from_edge_list:
+            AppraisalMatrix.from_edge_list(n, [(1, 2, 1)])
+        assert str(zeros.value) == str(from_edge_list.value) == message
 
     def test_with_entry_is_functional(self):
         x = AppraisalMatrix.zeros(2)
