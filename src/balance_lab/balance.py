@@ -15,6 +15,7 @@ with an explicit ``force`` override.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
@@ -151,17 +152,14 @@ def is_triad_wise_balanced(
 
 def _partition_respects_signs(x: AppraisalMatrix, part: FactionPartition) -> bool:
     # Direct scan of the two-faction definition: X_ij >= 0 inside a faction,
-    # X_ij <= 0 across, for every ordered pair.
-    for a, i in enumerate(x.labels):
-        for b, j in enumerate(x.labels):
-            if a == b:
-                continue
-            v = x.rows[a][b]
-            if part.side_of(i) == part.side_of(j):
-                if v < 0:
-                    return False
-            elif v > 0:
-                return False
+    # X_ij <= 0 across, for every ordered pair.  With side +1 for v1 and -1
+    # for v2, that is X_ij * side_i * side_j >= 0; the sides are looked up
+    # once per node, and the diagonal is zero.
+    sides = [1 - 2 * part.side_of(i) for i in x.labels]
+    flipped = [-s for s in sides]
+    for side, row in zip(sides, x.rows):
+        if min(map(mul, row, sides if side > 0 else flipped)) < 0:
+            return False
     return True
 
 

@@ -13,7 +13,8 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -21,10 +22,11 @@ from typing import Iterable, Iterator, Sequence, Union
 # Largest node count an edge-list header, a ``--n`` flag, ``AppraisalMatrix.zeros``,
 # ``AppraisalMatrix.from_edge_list`` or ``ErParams`` may ask for.  Every matrix
 # is a dense n-by-n grid: parsing an edge list at this ceiling peaks at about
-# 400 MB, and the peak grows with n squared.
+# 280 MB, and the peak grows with n squared.
 NODE_LIMIT = 4096
 
 _TERNARY = frozenset((-1, 0, 1))
+_SIGNS = frozenset((-1, 1))
 
 
 class EdgeListError(ValueError):
@@ -108,7 +110,10 @@ class AppraisalMatrix:
     row/column ``a``.  Labels are strictly increasing positive integers, by
     default ``1..n``.  Storage is dense, but the static analyses read it
     row by row into per-node link masks, so they cost by links and
-    triangles; construction checks every entry with C-level row operations.
+    triangles.  Construction checks every entry with C-level row
+    operations.  It converts entries with ``int`` unless one type scan
+    finds ``rows`` already a tuple of tuples of exact ints, as every
+    constructor in the library builds it.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -116,8 +121,14 @@ class AppraisalMatrix:
     _pos: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
+        if (
+            type(rows) is not tuple
+            or set(map(type, rows)) != {tuple}
+            or set(map(type, chain.from_iterable(rows))) != {int}
+        ):
+            rows = tuple(tuple(map(int, row)) for row in rows)
+            object.__setattr__(self, "rows", rows)
         n = len(rows)
         labels = tuple(map(int, self.labels or _default_labels(n)))
         object.__setattr__(self, "labels", labels)
@@ -352,11 +363,77 @@ def induced_subgraph(
 
 
 def parse_edge_list(text: str) -> AppraisalMatrix:
-    """Parse the edge-list format; errors carry 1-based line numbers."""
+    """Parse the edge-list format; errors carry 1-based line numbers.
+
+    A file written the way ``format_edge_list`` writes it is checked and
+    read in bulk passes (``_bulk_rows``).  Anything else, and every
+    malformed file, goes through the line-by-line loop (``_parse_lines``),
+    the only producer of ``EdgeListError`` messages; both give the same
+    matrix.
+    """
+    lines = text.splitlines()
+    rows = _bulk_rows(lines)
+    if rows is None:
+        return _parse_lines(lines)
+    return AppraisalMatrix(rows)
+
+
+def _bulk_rows(lines: list[str]) -> tuple[tuple[int, ...], ...] | None:
+    """The rows of a valid, canonically spelled edge list, or None.
+
+    Comments and blank lines may only precede the header; every number must
+    be spelled as ``str(int)`` spells it.  The whole link list is split and
+    checked at once: one token table for ``-1..n``, then ``min``, ``set``
+    and ``map`` passes for range, self-loops, signs and duplicates.  The
+    links are then written into one flat grid, which is cut into rows.
+    None means that ``_parse_lines`` must decide.
+    """
+    for start, line in enumerate(lines):
+        header = line.split()
+        if header and not header[0].startswith("#"):
+            break
+    else:
+        return None
+    if len(header) != 2 or header[0] != "n":
+        return None
+    try:
+        n = int(header[1])
+    except ValueError:
+        return None
+    if not 1 <= n <= NODE_LIMIT or str(n) != header[1]:
+        return None
+    # Three tokens to a line: then every fourth token is a joining "\0".
+    # A "\0" anywhere else is no number, so the table refuses it below.
+    body = lines[start + 1 :]
+    tokens = " \0 ".join(body).split()
+    if len(tokens) != max(4 * len(body) - 1, 0):
+        return None
+    del tokens[3::4]
+    table = {str(v): v for v in range(-1, n + 1)}
+    values = list(map(table.get, tokens))
+    if None in values:
+        return None
+    i_s, j_s, s_s = values[0::3], values[1::3], values[2::3]
+    if values and (
+        min(i_s) < 1 or min(j_s) < 1 or any(map(eq, i_s, j_s)) or not _SIGNS.issuperset(s_s)
+    ):
+        return None
+    # Link (i, j) sits at i * n + j, which is (i - 1) * n + (j - 1) past n + 1 cells.
+    cells = list(map(add, map(mul, i_s, repeat(n)), j_s))
+    if len(set(cells)) != len(cells):
+        return None
+    grid = [0] * (n * n + n + 1)
+    for cell, s in zip(cells, s_s):
+        grid[cell] = s
+    return tuple(zip(*[islice(grid, n + 1, None)] * n))
+
+
+def _parse_lines(lines: list[str]) -> AppraisalMatrix:
+    # The reference parser: one line at a time, raising at the first fault.
     n: int | None = None
     entries: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

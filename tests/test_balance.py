@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balance_lab import balance
 from balance_lab.balance import (
     ASYMMETRIC_PAIR,
     CYCLE_NODE_LIMIT,
@@ -250,6 +251,32 @@ class TestDetectTwoFaction:
                     else:
                         assert x.entry(i, j) <= 0
         assert seen > 0
+
+    def test_a_wrong_colouring_is_caught_by_the_recheck(self, monkeypatch):
+        # Everyone coloured alike puts the enemies 1 and 2 in one faction; the
+        # re-check against the definition must refuse that witness.
+        monkeypatch.setattr(balance, "_two_faction_colouring", lambda rows, members: [1] * len(rows))
+        with pytest.raises(RuntimeError, match="invalid partition"):
+            detect_two_faction(symmetric(3, [(1, 2, -1), (2, 3, 1)]))
+
+    def test_recheck_matches_the_pairwise_definition(self):
+        # Any split, valid or not, on gapped labels: the re-check answers as a
+        # literal scan of every ordered pair through ``side_of`` does.
+        rng = random.Random(10)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randrange(1, 9)
+            x = random_matrix(rng, n, rng.choice((0.1, 0.3, 0.6)))
+            x = AppraisalMatrix.from_rows(x.rows, sorted(rng.sample(range(1, 50), n)))
+            v1 = frozenset(i for i in x.labels if rng.random() < 0.5)
+            part = FactionPartition(TWO_FACTION, v1, frozenset(x.labels) - v1)
+            want = all(
+                x.entry(i, j) >= 0 if part.side_of(i) == part.side_of(j) else x.entry(i, j) <= 0
+                for i, j in itertools.permutations(x.labels, 2)
+            )
+            assert balance._partition_respects_signs(x, part) == want
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 50
 
 
 class TestCycleSign:

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,9 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from balance_lab import balance, dynamics, experiments
+from balance_lab import balance, cli, dynamics, experiments
 from balance_lab.cli import (
     EXIT_GUARD,
     EXIT_NOT_ABSORBED,
@@ -942,3 +943,121 @@ class TestReusedParser:
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == EXIT_OK
+
+
+# Values for the report writer's differential test: every scalar json.dumps
+# spells in its own way, and the shapes the writer takes in bulk (lists of
+# dicts on one key set, lists of lists of one length).
+_KEYS = st.one_of(
+    st.text(max_size=6), st.sampled_from(["{", "}", "{}", "\0", "é", "\n", '"', "\\", "kind", "nodes"])
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324, 0.1]),
+    st.text(),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(_KEYS, children, max_size=5),
+        st.lists(_KEYS, max_size=3, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries({key: children for key in keys}), max_size=4)
+        ),
+        st.integers(0, 3).flatmap(
+            lambda size: st.lists(st.lists(children, min_size=size, max_size=size), max_size=4)
+        ),
+    )
+
+
+def _written(value):
+    return cli._json_texts([value], "")[0]
+
+
+class TestReportWriter:
+    """Reports are exactly ``json.dumps(report, indent=2, sort_keys=True)``."""
+
+    @given(st.recursive(_SCALARS, _containers, max_leaves=30))
+    @settings(max_examples=400, deadline=None)
+    @example([1, True, None, 1.5])
+    @example({"a": [[1, 2], [3, 4, 5], [], [6, 7]], "b": [{"k": 1}, {"k": None}, {"j": 2}], "c": {}})
+    @example([[{"x": [-0.0, math.nan]}, {"x": [math.inf, -math.inf]}], [{}], []])
+    def test_matches_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": {1, 2}}, [1, b"x"], [{"a": 1}, {2: 1}]])
+    def test_any_other_type_is_refused(self, value):
+        with pytest.raises(TypeError):
+            _written(value)
+
+    def _payloads(self, monkeypatch, *argvs):
+        payloads = []
+        monkeypatch.setattr(cli, "_emit", lambda payload, out: payloads.append(payload))
+        for argv in argvs:
+            assert main(argv) in (EXIT_OK, EXIT_NOT_ABSORBED)
+        return payloads
+
+    def _assert_written_as_json_dumps(self, payloads):
+        for payload in payloads:
+            assert _written(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_analyze_reports(self, tmp_path, monkeypatch):
+        paths = []
+        for name, text in [("violations", ONE_NEGATIVE_TRIANGLE), ("clean", POSITIVE_TRIANGLE), ("mixed", MIXED_GRAPH)]:
+            paths.append(tmp_path / f"{name}.el")
+            paths[-1].write_text(text)
+        sign_symmetric = tmp_path / "split.el"
+        sign_symmetric.write_text("n 4\n1 2 -1\n2 1 -1\n2 3 1\n3 2 1\n3 4 -1\n4 3 -1\n")
+        payloads = self._payloads(
+            monkeypatch,
+            *(["analyze", "--input", str(path)] for path in paths),
+            ["analyze", "--input", str(sign_symmetric), "--all-cycles"],
+        )
+        assert payloads[0]["violations"] and payloads[0]["two_faction"] is None
+        assert not payloads[1]["violations"] and payloads[1]["two_faction"]["v1"] == [1, 2, 3]
+        assert payloads[3]["two_faction"]["v2"] and "all_cycles_positive" in payloads[3]
+        self._assert_written_as_json_dumps(payloads)
+
+    def test_equivalence_reports(self, tmp_path, monkeypatch):
+        square, triangle = tmp_path / "square.el", tmp_path / "triangle.el"
+        square.write_text(CHORDLESS_SQUARE)
+        triangle.write_text(POSITIVE_TRIANGLE)
+        payloads = self._payloads(
+            monkeypatch,
+            ["equivalence", "--input", str(square)],
+            ["equivalence", "--input", str(square), "--verify-exhaustive"],
+            ["equivalence", "--input", str(triangle), "--verify-exhaustive"],
+        )
+        assert "exhaustive" not in payloads[0]
+        assert payloads[1]["exhaustive"]["counterexample"]
+        assert payloads[2]["exhaustive"]["counterexample"] is None
+        self._assert_written_as_json_dumps(payloads)
+
+    def test_simulate_reports(self, monkeypatch):
+        payloads = self._payloads(
+            monkeypatch,
+            ["simulate", "--n", "6", "--p", "0.6", "--p-neg", "0.4", "--seed", "3"],
+            ["simulate", "--n", "6", "--p", "0.6", "--p-neg", "0.4", "--engine", "sioh", "--max-steps", "5"],
+        )
+        assert payloads[0]["final_opinions"] is None and payloads[1]["final_opinions"]
+        self._assert_written_as_json_dumps(payloads)
+
+    def test_study_summaries(self, tmp_path, monkeypatch):
+        payloads = self._payloads(
+            monkeypatch,
+            ["experiment", "--study", "density", "--n", "4", "--p-neg", "0.3", "--trials", "3",
+             "--out", str(tmp_path / "t.csv")],
+        )
+        payloads.append(
+            experiments.study_summary(
+                "triads", [], experiments.RegressionResult(None, None, None, 0), {"n": 8, "p": 0.5, "p_neg": 0.3}
+            )
+        )
+        assert payloads[0]["p"] is None and isinstance(payloads[0]["k"], float)
+        assert payloads[1]["k"] is payloads[1]["b"] is payloads[1]["r"] is None
+        self._assert_written_as_json_dumps(payloads)

@@ -1,6 +1,8 @@
 import csv
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +214,18 @@ class TestStudies:
         export_csv(a_records, pa)
         export_csv(b_records, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_process_pool_is_loaded_only_for_more_than_one_worker(self):
+        # The pool's import loads multiprocessing, which no other command uses.
+        code = (
+            "import sys, balance_lab.cli as cli;"
+            "assert 'multiprocessing' not in sys.modules;"
+            "cli.experiments.run_study(4, 0.5, None, 2, master_seed=1);"
+            "assert 'multiprocessing' not in sys.modules;"
+            "cli.experiments.run_study(4, 0.5, None, 2, master_seed=1, workers=2);"
+            "assert 'multiprocessing' in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_density_constant_along_trajectory(self):
         # ER output is bilateral, so the zero pattern never changes:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from balance_lab.graphs import (
     NODE_LIMIT,
@@ -17,6 +17,8 @@ from balance_lab.graphs import (
     read_edge_list,
     skeleton,
     write_edge_list,
+    _bulk_rows,
+    _parse_lines,
 )
 
 from conftest import GRAPH1_EDGES, random_matrix
@@ -244,3 +246,97 @@ class TestEdgeListFormat:
         sub = induced_subgraph(x, {2, 4})
         with pytest.raises(ValueError, match="1..n"):
             format_edge_list(sub)
+
+
+# Edge-list text for the differential tests of the reader: headers, link lines
+# and noise, valid and malformed, with non-canonical spellings of numbers.
+_TOKENS = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["+1", "01", "1_0", "-0", "+0", "00", "1.0", "x", "١", "#", "n"]),
+)
+_LINK = st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from((1, -1))).map(
+    lambda link: "%d %d %d" % link
+)
+_LINE = st.one_of(
+    _LINK,
+    _LINK,
+    _LINK,
+    st.lists(_TOKENS, min_size=1, max_size=4).map(" ".join),
+    st.sampled_from(["", "   ", "# comment", "\t# x", "1\t2\t1", " 1 2 -1 ", "1 2 1 # tail"]),
+)
+_HEADER = st.one_of(
+    st.integers(-1, 7).map(lambda n: f"n {n}"),
+    st.sampled_from(
+        ["n", "n 3 3", "m 3", "n +3", "n 03", "n 1_0", "N 3", "n 4097", "n 99999999999999999999",
+         "  n\t5", "n x", "# n 3", "n ٣"]
+    ),
+)
+_TEXT = st.builds(
+    lambda before, header, body, newline, end: newline.join(before + header + body) + end,
+    st.lists(st.sampled_from(["", "# c", "  "]), max_size=2),
+    st.one_of(st.just([]), _HEADER.map(lambda header: [header])),
+    st.lists(_LINE, max_size=10),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+# One line added to a file as format_edge_list writes it.
+_CHANGES = st.sampled_from(
+    ["", "# comment", "1 1 1", "1 2 0", "0 1 1", "1 0 1", "-1 2 1", "2 -1 1", "9 1 1", "1 2",
+     "1 2 1 1", "+1 2 1", "01 2 1", "1_0 2 1", "1\t2\t-1", "2 1 -1", "1 2 1", "n 3"]
+)
+
+
+def _parsed(parse, text):
+    # The matrix's rows, or the message and line of the EdgeListError.
+    try:
+        return parse(text).rows
+    except EdgeListError as exc:
+        return str(exc), exc.line_no
+
+
+def _by_line_loop(text):
+    return _parse_lines(text.splitlines())
+
+
+class TestBulkReader:
+    """``parse_edge_list`` answers as the line-by-line loop does, on any text."""
+
+    @given(_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_loop(self, text):
+        assert _parsed(parse_edge_list, text) == _parsed(_by_line_loop, text)
+
+    @given(st.integers(1, 7), st.randoms(use_true_random=False), _CHANGES, st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_line_loop_on_a_written_file_with_one_line_added(
+        self, n, rng, change, newline
+    ):
+        lines = format_edge_list(random_matrix(rng, n, rng.choice((0.1, 0.5)))).splitlines()
+        lines.insert(rng.randrange(len(lines) + 1), change)
+        text = newline.join(lines) + newline
+        assert _parsed(parse_edge_list, text) == _parsed(_by_line_loop, text)
+
+    def test_takes_every_file_format_edge_list_writes(self):
+        rng = random.Random(11)
+        for n in range(1, 14):
+            x = random_matrix(rng, n, rng.choice((0.0, 0.2, 0.7)))
+            assert _bulk_rows(("# written\n\n" + format_edge_list(x)).splitlines()) == x.rows
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 2\n+1 2 1\n",
+            "n 2\n01 2 1\n",
+            "n 2\n1 2 +1\n",
+            "n 02\n1 2 1\n",
+            "n 2\n1 2 1\n\n2 1 -1\n",
+            "n 2\n1 2 1\n# late comment\n",
+            "n 1_0\n1 2 1\n",
+            "n 3\n1 0 1\n",
+            # Six valid tokens, but not three to a line.
+            "n 3\n1 2\n1 3 1 1\n",
+        ],
+    )
+    def test_a_file_spelled_otherwise_goes_to_the_line_loop(self, text):
+        assert _bulk_rows(text.splitlines()) is None
+        assert _parsed(parse_edge_list, text) == _parsed(_by_line_loop, text)
