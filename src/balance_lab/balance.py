@@ -21,7 +21,8 @@ from typing import Iterator, Optional, Sequence
 from .graphs import (
     AppraisalMatrix,
     UndirectedSkeleton,
-    _link_masks,
+    _linked_pairs,
+    _skeleton_masks,
     _triangle_walk,
     is_sign_symmetric,
 )
@@ -98,12 +99,6 @@ def _directed_triads(
             yield a, c, b
 
 
-def _skeleton_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    # Per position, the mask of everyone linked to it in either direction.
-    out, into = _link_masks(rows)
-    return [o | i for o, i in zip(out, into)]
-
-
 def enumerate_triads(x: AppraisalMatrix) -> list[Cycle]:
     """All directed 3-cycles, one per orientation, min node first.
 
@@ -116,7 +111,7 @@ def enumerate_triads(x: AppraisalMatrix) -> list[Cycle]:
     """
     rows, labels = x.rows, x.labels
     return [
-        (labels[a], labels[b], labels[c]) for a, b, c in _directed_triads(rows, _skeleton_masks(rows))
+        (labels[a], labels[b], labels[c]) for a, b, c in _directed_triads(rows, _skeleton_masks(x))
     ]
 
 
@@ -128,22 +123,16 @@ def is_triad_wise_balanced(
     A pair {i, j} violates when some direction is nonzero but the product
     X_ij * X_ji is not positive.  A directed triad violates when its sign
     product is negative.  Pairs come first, in label order, then triads in
-    ``enumerate_triads`` order; both are read positionally off the link
-    masks, so the cost grows with links and triangles.
+    ``enumerate_triads`` order; both are read positionally off the
+    matrix's shared link masks, so the cost grows with links and triangles.
     """
     rows = x.rows
     labels = x.labels
-    adj = _skeleton_masks(rows)
+    adj = _skeleton_masks(x)
     violations: list[BalanceViolation] = []
-    for a, mask in enumerate(adj):
-        row = rows[a]
-        above = mask >> a + 1 << a + 1
-        while above:
-            low = above & -above
-            above ^= low
-            b = low.bit_length() - 1
-            if row[b] * rows[b][a] <= 0:
-                violations.append(BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b])))
+    for a, b in _linked_pairs(adj):
+        if rows[a][b] * rows[b][a] <= 0:
+            violations.append(BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b])))
     for a, b, c in _directed_triads(rows, adj):
         if rows[a][b] * rows[b][c] * rows[c][a] < 0:
             violations.append(BalanceViolation(NEGATIVE_TRIAD, (labels[a], labels[b], labels[c])))

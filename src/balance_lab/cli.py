@@ -269,9 +269,17 @@ def _sih_params(args) -> dynamics.SihParams:
     return _weights(args, dynamics.SihParams, ("p1", "p2", "p3"))
 
 
+def _read_input(path: str) -> AppraisalMatrix:
+    """Read ``--input``; a file that cannot be opened, read or decoded is a parse error."""
+    try:
+        return read_edge_list(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EdgeListError(str(exc)) from None
+
+
 def _load_or_generate(args) -> AppraisalMatrix:
     if args.input:
-        return read_edge_list(args.input)
+        return _read_input(args.input)
     if args.n is None or args.p is None:
         raise _UsageError("provide --input, or --n and --p to generate a graph")
     params = experiments.ErParams(args.n, args.p, args.p_neg if args.p_neg is not None else 0.0)
@@ -284,7 +292,7 @@ def _load_or_generate(args) -> AppraisalMatrix:
 
 
 def cmd_analyze(args) -> int:
-    x = read_edge_list(args.input)
+    x = _read_input(args.input)
     balanced, violations = balance.is_triad_wise_balanced(x)
     partition = balance.detect_two_faction(x)
     ego = {str(node): ok for node, ok in balance.ego_networks_two_faction(x).items()}
@@ -320,7 +328,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_equivalence(args) -> int:
-    x = read_edge_list(args.input)
+    x = _read_input(args.input)
     g = skeleton(x)
     try:
         ok, certificates = chordal.check_equivalence_conditions(g, force=args.force)
@@ -506,9 +514,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except EdgeListError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except balance.GuardLimitError as exc:

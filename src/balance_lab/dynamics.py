@@ -34,7 +34,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
-from .graphs import AppraisalMatrix
+from .graphs import AppraisalMatrix, _link_masks, _linked_pairs
 from .rng import stream
 
 SYMMETRY = "symmetry"
@@ -207,7 +207,10 @@ class _Kernel:
     has bit ``b`` set when ``rows[a][b]`` is nonzero, and ``pos[a]`` and
     ``neg[a]`` have bit ``b`` set when the upper-triangle entry of the pair
     {a, b} is +1 or -1.  For SIOH, ``y`` holds the opinions and ``up`` has
-    bit ``a`` set when ``y[a]`` is +1; for SIH both are None.
+    bit ``a`` set when ``y[a]`` is +1; for SIH both are None.  ``nz`` is a
+    list copy of the out-masks of a fresh ``graphs._link_masks`` build,
+    since updates change it in place; ``pos``, ``neg`` and the starting
+    counts come from one walk over the pairs linked in either direction.
 
     ``bad_pairs`` counts unordered pairs with unequal entries.  For SIH,
     ``bad_tris`` counts triples whose three upper entries are nonzero with a
@@ -224,34 +227,30 @@ class _Kernel:
 
     def __init__(self, rows: list[list[int]], y: Optional[list[int]] = None):
         n = len(rows)
-        nz, pos, neg = [0] * n, [0] * n, [0] * n
+        out, into = _link_masks(rows)
+        linked = list(_linked_pairs([o | i for o, i in zip(out, into)]))
+        pos, neg = [0] * n, [0] * n
         bad_pairs = 0
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                v = ra[b]
-                if v:
-                    nz[a] |= 1 << b
-                if b > a:
-                    if v != rows[b][a]:
-                        bad_pairs += 1
-                    if v > 0:
-                        pos[a] |= 1 << b
-                        pos[b] |= 1 << a
-                    elif v < 0:
-                        neg[a] |= 1 << b
-                        neg[b] |= 1 << a
+        for a, b in linked:
+            v = rows[a][b]
+            if v != rows[b][a]:
+                bad_pairs += 1
+            if v > 0:
+                pos[a] |= 1 << b
+                pos[b] |= 1 << a
+            elif v < 0:
+                neg[a] |= 1 << b
+                neg[b] |= 1 << a
         self.rows, self.n, self.y = rows, n, y
-        self.nz, self.pos, self.neg = nz, pos, neg
+        self.nz, self.pos, self.neg = list(out), pos, neg
         self.cands = _candidates(rows, n)
         self.bad_pairs = bad_pairs
         self.bad_tris = self.bad_links = self.up = None
         if y is None:
-            # Each bad triple is counted once through each of its three pairs.
+            # Each bad triple is counted once through each of its three
+            # pairs, all linked; an unlinked pair adds nothing.
             self.bad_tris = sum(
-                _bad_tris_through(pos, neg, a, b, rows[a][b])
-                for a in range(n)
-                for b in range(a + 1, n)
+                _bad_tris_through(pos, neg, a, b, rows[a][b]) for a, b in linked
             ) // 3
         else:
             self.up = sum(1 << a for a in range(n) if y[a] > 0)

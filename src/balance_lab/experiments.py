@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .dynamics import DEFAULT_MAX_STEPS, SihParams, run_sih
-from .graphs import AppraisalMatrix, _check_node_count, _link_masks
+from .graphs import AppraisalMatrix, _check_node_count, _linked_pairs
 from .rng import derive_seed, stream
 
 # Sub-stream tags within one trial.
@@ -116,21 +116,15 @@ def link_density(x: AppraisalMatrix) -> Optional[float]:
 def count_triads(x: AppraisalMatrix) -> int:
     """Triangles whose three pairs are all bilateral in ``x``.
 
-    Counted from each node's bilateral link mask: every bilateral pair
+    Counted from each node's bilateral link mask, the intersection of the
+    matrix's shared outgoing and incoming masks: every bilateral pair
     ``{a, b}``, ``a < b``, adds the popcount of ``a``'s and ``b``'s common
     neighbours, which counts each triangle once per side.  No triangle is
     listed, and the cost grows with links rather than with n^3.
     """
-    out, into = _link_masks(x.rows)
+    out, into = x._masks
     adj = [o & i for o, i in zip(out, into)]
-    sides = 0
-    for a, mask in enumerate(adj):
-        above = mask >> a + 1
-        while above:
-            low = above & -above
-            above ^= low
-            sides += (mask & adj[a + low.bit_length()]).bit_count()
-    return sides // 3
+    return sum((adj[a] & adj[b]).bit_count() for a, b in _linked_pairs(adj)) // 3
 
 
 def _sum(values: Iterable[float]) -> float:

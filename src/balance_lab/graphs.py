@@ -6,6 +6,12 @@ self-appraisal).  Node ids are 1-based externally; induced subgraphs are
 contiguously re-indexed internally but carry the original ids in ``labels``
 so worked examples keep their node names.
 
+``_link_masks`` is the one place where rows become link structure: per
+position, the bit masks of whom it appraises and of who appraises it.  A
+matrix builds them at most once and shares them with every analysis that
+reads links (the skeleton, bilaterality, triads, triad counts); the
+simulation kernel builds its own and updates a list copy in place.
+
 All types are immutable values after construction and safe to share across
 workers.
 """
@@ -13,6 +19,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, mul
 from pathlib import Path
@@ -51,10 +58,11 @@ def _check_node_count(n: int) -> None:
         raise ValueError(f"node count {n} exceeds the ceiling of {NODE_LIMIT}")
 
 
-def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per position ``a``, the bit masks of whom ``a`` appraises and of who appraises ``a``.
 
     One pass over the links: ``compress`` skips the zero entries of a row.
+    The masks come as tuples, so a matrix can share them without a copy.
     """
     positions = range(len(rows))
     out, into = [], [0] * len(rows)
@@ -64,7 +72,20 @@ def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
             mask |= 1 << b
             into[b] |= bit
         out.append(mask)
-    return out, into
+    return tuple(out), tuple(into)
+
+
+def _linked_pairs(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every position pair ``a < b`` with bit ``b`` set in ``adj[a]``, in lexicographic order.
+
+    The walk visits set bits only, so it costs by links, not by n^2.
+    """
+    for a, mask in enumerate(adj):
+        above = mask >> a + 1
+        while above:
+            low = above & -above
+            above ^= low
+            yield a, a + low.bit_length()
 
 
 def _triangle_walk(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -76,17 +97,12 @@ def _triangle_walk(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     links and triangles rather than by node triples; it lists triangles by
     neighbour intersection, as Chiba and Nishizeki (1985) do.
     """
-    for a, mask in enumerate(adj):
-        above = mask >> a + 1 << a + 1
-        while above:
-            low = above & -above
-            above ^= low
-            b = low.bit_length() - 1
-            common = above & adj[b]
-            while common:
-                low = common & -common
-                common ^= low
-                yield a, b, low.bit_length() - 1
+    for a, b in _linked_pairs(adj):
+        common = adj[a] & adj[b] >> b + 1 << b + 1
+        while common:
+            low = common & -common
+            common ^= low
+            yield a, b, low.bit_length() - 1
 
 
 def _check_link(n: int, i: int, j: int, s: int, seen: set[tuple[int, int]]) -> None:
@@ -109,11 +125,14 @@ class AppraisalMatrix:
     ``rows`` is positional storage; ``labels[a]`` is the external id of
     row/column ``a``.  Labels are strictly increasing positive integers, by
     default ``1..n``.  Storage is dense, but the static analyses read it
-    row by row into per-node link masks, so they cost by links and
-    triangles.  Construction checks every entry with C-level row
-    operations.  It converts entries with ``int`` unless one type scan
-    finds ``rows`` already a tuple of tuples of exact ints, as every
-    constructor in the library builds it.
+    row by row into per-node link masks, built on first use and kept as
+    tuples in the private ``_masks``, which equality, hashing and ``repr``
+    ignore.  So the static analyses cost by links and triangles, and one
+    matrix is read into masks at most once.
+    Construction checks every entry with C-level row operations.  It
+    converts entries with ``int`` unless one type scan finds ``rows``
+    already a tuple of tuples of exact ints, as every constructor in the
+    library builds it.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -147,6 +166,11 @@ class AppraisalMatrix:
                 v = next(v for v in row if v not in _TERNARY)
                 raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
         object.__setattr__(self, "_pos", dict(zip(labels, range(n))))
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # (out, into) of ``_link_masks``, shared by every analysis of this matrix.
+        return _link_masks(self.rows)
 
     @property
     def n(self) -> int:
@@ -286,24 +310,24 @@ class UndirectedSkeleton:
         return len(seen) == self.n
 
 
+def _skeleton_masks(x: AppraisalMatrix) -> list[int]:
+    """Per position, the mask of everyone linked to it in either direction."""
+    out, into = x._masks
+    return [o | i for o, i in zip(out, into)]
+
+
 def skeleton(x: AppraisalMatrix) -> UndirectedSkeleton:
     """The unsigned undirected view: pair {i,j} present iff either direction is nonzero."""
-    edges = set()
     labels = x.labels
-    for a in range(x.n):
-        for b in range(a + 1, x.n):
-            if x.rows[a][b] or x.rows[b][a]:
-                edges.add((labels[a], labels[b]))
-    return UndirectedSkeleton(labels, frozenset(edges))
+    return UndirectedSkeleton(
+        labels, frozenset((labels[a], labels[b]) for a, b in _linked_pairs(_skeleton_masks(x)))
+    )
 
 
 def is_bilateral(x: AppraisalMatrix) -> bool:
     """True iff links exist in both directions or neither (X_ij != 0 iff X_ji != 0)."""
-    for a in range(x.n):
-        for b in range(a + 1, x.n):
-            if (x.rows[a][b] != 0) != (x.rows[b][a] != 0):
-                return False
-    return True
+    out, into = x._masks
+    return out == into
 
 
 def is_sign_symmetric(x: AppraisalMatrix) -> bool:

@@ -199,8 +199,8 @@ def varied_matrix(rng: random.Random, kind: str) -> AppraisalMatrix:
     return AppraisalMatrix.from_rows(rows, labels)
 
 
-# Literal triple loops and the per-free-edge counterexample scan that the
-# static analyses used before they walked link masks; kept as oracles.
+# Literal pair and triple loops and the per-free-edge counterexample scan
+# that the static analyses used before they walked link masks; kept as oracles.
 
 
 def triads_by_triple_loop(x: AppraisalMatrix) -> list[tuple[int, int, int]]:
@@ -244,6 +244,26 @@ def bilateral_triads_by_triple_loop(x: AppraisalMatrix) -> int:
                 if rows[i][k] and rows[k][i] and rows[j][k] and rows[k][j]:
                     count += 1
     return count
+
+
+def skeleton_by_pair_loop(x: AppraisalMatrix) -> UndirectedSkeleton:
+    """Oracle for ``skeleton``: every cell pair, linked when either direction is nonzero."""
+    edges = set()
+    labels = x.labels
+    for a in range(x.n):
+        for b in range(a + 1, x.n):
+            if x.rows[a][b] or x.rows[b][a]:
+                edges.add((labels[a], labels[b]))
+    return UndirectedSkeleton(labels, frozenset(edges))
+
+
+def bilateral_by_pair_loop(x: AppraisalMatrix) -> bool:
+    """Oracle for ``is_bilateral``: every cell pair is linked both ways or neither."""
+    for a in range(x.n):
+        for b in range(a + 1, x.n):
+            if (x.rows[a][b] != 0) != (x.rows[b][a] != 0):
+                return False
+    return True
 
 
 def skeleton_triangles_by_triple_loop(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from balance_lab import balance, cli, dynamics, experiments
+from balance_lab import balance, cli, dynamics, experiments, graphs
 from balance_lab.cli import (
     EXIT_GUARD,
     EXIT_NOT_ABSORBED,
@@ -101,6 +102,26 @@ class TestAnalyze:
         assert time.perf_counter() - start < 5.0
         report = json.loads(capsys.readouterr().out)
         assert (report["n"], report["triad_count"], report["violations"]) == (1024, 0, [])
+
+    def test_one_request_reads_the_link_masks_once(self, tmp_path, capsys, monkeypatch):
+        # Every module that holds a binding of `_link_masks` is counted,
+        # so a second build anywhere in the request shows up.
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        real = graphs._link_masks
+        for module in (graphs, balance, experiments, dynamics):
+            if hasattr(module, "_link_masks"):
+                monkeypatch.setattr(module, "_link_masks", counting)
+        path = tmp_path / "bad.el"
+        path.write_text(ONE_NEGATIVE_TRIANGLE)
+        assert main(["analyze", "--input", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["triad_count"], report["bilateral"]) == (1, True)
+        assert calls == [3]
 
     def test_report_matches_library(self, triangle_file, capsys):
         # Thin-adapter check: same numbers as direct library calls.
@@ -745,6 +766,36 @@ class TestInputErrors:
     def test_directory_input_is_parse_error(self, tmp_path, capsys):
         assert main(["simulate", "--input", str(tmp_path)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize("command", ["analyze", "equivalence", "simulate"])
+    @pytest.mark.parametrize(
+        "fault", ["not-a-directory", "symlink-loop", "name-too-long", "permission-denied"]
+    )
+    def test_unreadable_input_is_parse_error(self, tmp_path, capsys, monkeypatch, command, fault):
+        plain = tmp_path / "plain.el"
+        plain.write_text(POSITIVE_TRIANGLE)
+        path = {
+            "not-a-directory": plain / "x",
+            "symlink-loop": tmp_path / "loop",
+            "name-too-long": tmp_path / ("x" * 5000),
+            "permission-denied": plain,
+        }[fault]
+        if fault == "symlink-loop":
+            os.symlink(path, path)
+        if fault == "permission-denied":
+            # File modes do not stop a superuser, so the refusal is injected.
+            read_text = pathlib.Path.read_text
+
+            def refuse(self, *args, **kwargs):
+                if self == plain:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+                return read_text(self, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+        assert main([command, "--input", str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: [Errno ") and len(err.splitlines()) == 1
 
     def test_undecodable_input_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "binary.el"

@@ -3,6 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balance_lab import graphs
+from balance_lab.balance import enumerate_triads, is_triad_wise_balanced
+from balance_lab.dynamics import SihParams, SiohParams, SiohState, run_sih, run_sioh, sih_step
+from balance_lab.experiments import count_triads
 from balance_lab.graphs import (
     NODE_LIMIT,
     AppraisalMatrix,
@@ -18,10 +22,18 @@ from balance_lab.graphs import (
     skeleton,
     write_edge_list,
     _bulk_rows,
+    _link_masks,
     _parse_lines,
 )
 
-from conftest import GRAPH1_EDGES, random_matrix
+from conftest import (
+    GRAPH1_EDGES,
+    MATRIX_KINDS,
+    bilateral_by_pair_loop,
+    random_matrix,
+    skeleton_by_pair_loop,
+    varied_matrix,
+)
 
 
 @st.composite
@@ -103,6 +115,17 @@ class TestSkeleton:
         x = AppraisalMatrix.from_edge_list(2, [(1, 2, -1), (2, 1, 1)])
         assert skeleton(x).edges == frozenset({(1, 2)})
 
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_matches_pair_loop_oracle(self, kind):
+        rng = random.Random(f"skeleton:{kind}")
+        edges = 0
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            g = skeleton(x)
+            assert g == skeleton_by_pair_loop(x), x
+            edges += g.edge_count()
+        assert (edges == 0) == (kind == "empty"), edges
+
 
 class TestBilateral:
     def test_mutual_links_bilateral(self):
@@ -117,10 +140,81 @@ class TestBilateral:
     def test_zero_matrix_vacuously_bilateral(self):
         assert is_bilateral(AppraisalMatrix.zeros(4))
 
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_matches_pair_loop_oracle(self, kind):
+        rng = random.Random(f"bilateral:{kind}")
+        verdicts = set()
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            verdict = is_bilateral(x)
+            assert verdict == bilateral_by_pair_loop(x), x
+            verdicts.add(verdict)
+        assert verdicts == ({False, True} if kind in ("independent", "one-way") else {True})
+
     @given(matrices())
     def test_bilateral_skeleton_edge_count(self, x):
         if is_bilateral(x):
             assert len(skeleton(x).edges) * 2 == x.nonzero_count()
+
+
+class TestLinkMaskView:
+    """Each matrix reads its rows into link masks once, and the view stays true."""
+
+    def test_every_link_analysis_shares_one_build(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        real = graphs._link_masks
+        monkeypatch.setattr(graphs, "_link_masks", counting)
+        x = varied_matrix(random.Random("one-build"), "complete")
+        skeleton(x), is_bilateral(x), enumerate_triads(x), is_triad_wise_balanced(x)
+        count_triads(x)
+        assert calls == [x.n]
+
+    def test_cache_does_not_change_equality_hash_or_repr(self):
+        rng = random.Random("cache-identity")
+        for kind in MATRIX_KINDS:
+            for _ in range(30):
+                x = varied_matrix(rng, kind)
+                cold = AppraisalMatrix(x.rows, x.labels)
+                assert x._masks == _link_masks(x.rows)
+                assert "_masks" in vars(x) and "_masks" not in vars(cold)
+                assert x == cold and cold == x and hash(x) == hash(cold)
+                assert repr(x) == repr(cold) and len({x, cold}) == 1
+
+    def test_dynamics_and_copies_leave_every_cache_intact(self):
+        rng = random.Random("cache-intact")
+        matrices_seen = 0
+        for case in range(40):
+            x = varied_matrix(rng, rng.choice(("independent", "bilateral", "one-way", "complete")))
+            if x.n < 2 or not x.nonzero_count():
+                continue
+            x._masks  # filled before anything runs on x
+            y = tuple(rng.choice((-1, 1)) for _ in range(x.n))
+            made = [x]
+            made.append(run_sih(x, SihParams(), case, max_steps=40).final_x)
+            made.append(run_sioh(SiohState(x, y), SiohParams(), case, max_steps=40).final_x)
+            stepped = x
+            for t in range(5):
+                if not stepped.nonzero_count():
+                    break
+                stepped._masks
+                stepped, _ = sih_step(stepped, SihParams(), random.Random(case), step=t)
+                made.append(stepped)
+            i, j = x.labels[0], x.labels[-1]
+            edited = x.with_entry(i, j, -x.entry(i, j) or 1)
+            made.append(edited)
+            made.append(induced_subgraph(x, x.labels[: rng.randrange(1, x.n + 1)]))
+            for m in made:
+                m._masks
+            made.append(run_sih(edited, SihParams(), case, max_steps=40).final_x)
+            for m in made:
+                assert m._masks == _link_masks(m.rows), (case, m)
+            matrices_seen += len(made)
+        assert matrices_seen > 200
 
 
 class TestEgoNetwork:
