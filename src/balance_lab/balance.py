@@ -14,6 +14,7 @@ with an explicit ``force`` override.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -42,20 +43,24 @@ class GuardLimitError(RuntimeError):
     """An exact exponential search was refused because the input is too large."""
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
-    """One offending pair or directed triad."""
+class BalanceViolation(namedtuple("BalanceViolation", "kind nodes")):
+    """One offending pair or directed triad.
 
-    kind: str
-    nodes: tuple[int, ...]
+    An immutable tuple: the constructor checks the kind and the node count,
+    while ``is_triad_wise_balanced``, whose violations are well formed by
+    construction, builds them through the unchecked ``BalanceViolation._make``.
+    """
 
-    def __post_init__(self):
-        if self.kind == ASYMMETRIC_PAIR and len(self.nodes) != 2:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, nodes: tuple[int, ...]):
+        if kind == ASYMMETRIC_PAIR and len(nodes) != 2:
             raise ValueError("asymmetric-pair violations name exactly two nodes")
-        if self.kind == NEGATIVE_TRIAD and len(self.nodes) != 3:
+        if kind == NEGATIVE_TRIAD and len(nodes) != 3:
             raise ValueError("negative-triad violations name exactly three nodes")
-        if self.kind not in (ASYMMETRIC_PAIR, NEGATIVE_TRIAD):
-            raise ValueError(f"unknown violation kind {self.kind!r}")
+        if kind not in (ASYMMETRIC_PAIR, NEGATIVE_TRIAD):
+            raise ValueError(f"unknown violation kind {kind!r}")
+        return super().__new__(cls, kind, nodes)
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,17 @@ def is_triad_wise_balanced(
     rows = x.rows
     labels = x.labels
     adj = _skeleton_masks(x)
-    violations: list[BalanceViolation] = []
-    for a, b in _linked_pairs(adj):
-        if rows[a][b] * rows[b][a] <= 0:
-            violations.append(BalanceViolation(ASYMMETRIC_PAIR, (labels[a], labels[b])))
-    for a, b, c in _directed_triads(rows, adj):
-        if rows[a][b] * rows[b][c] * rows[c][a] < 0:
-            violations.append(BalanceViolation(NEGATIVE_TRIAD, (labels[a], labels[b], labels[c])))
+    make = BalanceViolation._make
+    violations = [
+        make((ASYMMETRIC_PAIR, (labels[a], labels[b])))
+        for a, b in _linked_pairs(adj)
+        if rows[a][b] * rows[b][a] <= 0
+    ]
+    violations += [
+        make((NEGATIVE_TRIAD, (labels[a], labels[b], labels[c])))
+        for a, b, c in _directed_triads(rows, adj)
+        if rows[a][b] * rows[b][c] * rows[c][a] < 0
+    ]
     return (not violations, violations)
 
 

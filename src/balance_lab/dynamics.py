@@ -34,7 +34,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
-from .graphs import AppraisalMatrix, _link_masks, _linked_pairs
+from .graphs import AppraisalMatrix, _linked_pairs, _skeleton_masks
 from .rng import stream
 
 SYMMETRY = "symmetry"
@@ -174,15 +174,6 @@ def _freeze(rows: list[list[int]], labels: tuple[int, ...]) -> AppraisalMatrix:
     return AppraisalMatrix(tuple(tuple(r) for r in rows), labels)
 
 
-def _candidates(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (rows[i][j] or rows[j][i])
-    ]
-
-
 def _bad_tris_through(pos: list[int], neg: list[int], a: int, b: int, v: int) -> int:
     # Triples {a, b, k} with nonzero upper entries and a negative product,
     # if the upper entry of {a, b} were v.  No mask holds its own node's
@@ -203,14 +194,18 @@ def _bad_links_at(pos: list[int], neg: list[int], up: int, i: int, yi: int) -> i
 class _Kernel:
     """Mutable SIH/SIOH state: dense rows, bitset views, violation counts.
 
-    ``rows`` stays the dense storage.  Beside it, per node ``a``, ``nz[a]``
-    has bit ``b`` set when ``rows[a][b]`` is nonzero, and ``pos[a]`` and
-    ``neg[a]`` have bit ``b`` set when the upper-triangle entry of the pair
-    {a, b} is +1 or -1.  For SIOH, ``y`` holds the opinions and ``up`` has
-    bit ``a`` set when ``y[a]`` is +1; for SIH both are None.  ``nz`` is a
-    list copy of the out-masks of a fresh ``graphs._link_masks`` build,
-    since updates change it in place; ``pos``, ``neg`` and the starting
-    counts come from one walk over the pairs linked in either direction.
+    Built from an AppraisalMatrix ``x`` and, for SIOH, its opinions ``y``
+    (None for SIH); it copies both and keeps ``x.labels``.  ``rows`` stays
+    the dense storage.  Beside it, per node ``a``, ``nz[a]`` has bit ``b``
+    set when ``rows[a][b]`` is nonzero, and ``pos[a]`` and ``neg[a]`` have
+    bit ``b`` set when the upper-triangle entry of the pair {a, b} is +1 or
+    -1.  For SIOH, ``y`` holds the opinions and ``up`` has bit ``a`` set
+    when ``y[a]`` is +1; for SIH both are None.  ``nz`` is a list copy of
+    the out-masks of the matrix's shared link view ``x._masks``, since
+    updates change it in place.  ``pos``, ``neg``, the starting counts and
+    ``cands`` come from one walk over the pairs linked in either direction:
+    ``cands`` holds both orders of each, sorted into row-major order, the
+    ordered pairs an SIH draw picks from.
 
     ``bad_pairs`` counts unordered pairs with unequal entries.  For SIH,
     ``bad_tris`` counts triples whose three upper entries are nonzero with a
@@ -222,13 +217,12 @@ class _Kernel:
     adjusts them with O(1) popcounts instead of a rescan.
     """
 
-    __slots__ = ("rows", "n", "y", "nz", "pos", "neg", "up", "cands",
+    __slots__ = ("rows", "labels", "y", "nz", "pos", "neg", "up", "cands",
                  "bad_pairs", "bad_tris", "bad_links")
 
-    def __init__(self, rows: list[list[int]], y: Optional[list[int]] = None):
-        n = len(rows)
-        out, into = _link_masks(rows)
-        linked = list(_linked_pairs([o | i for o, i in zip(out, into)]))
+    def __init__(self, x: AppraisalMatrix, y: Optional[tuple[int, ...]] = None):
+        rows, n = _row_lists(x), x.n
+        linked = list(_linked_pairs(_skeleton_masks(x)))
         pos, neg = [0] * n, [0] * n
         bad_pairs = 0
         for a, b in linked:
@@ -241,9 +235,9 @@ class _Kernel:
             elif v < 0:
                 neg[a] |= 1 << b
                 neg[b] |= 1 << a
-        self.rows, self.n, self.y = rows, n, y
-        self.nz, self.pos, self.neg = list(out), pos, neg
-        self.cands = _candidates(rows, n)
+        self.rows, self.labels, self.y = rows, x.labels, None if y is None else list(y)
+        self.nz, self.pos, self.neg = list(x._masks[0]), pos, neg
+        self.cands = sorted(linked + [(b, a) for a, b in linked])
         self.bad_pairs = bad_pairs
         self.bad_tris = self.bad_links = self.up = None
         if y is None:
@@ -268,7 +262,6 @@ class _Kernel:
         rng: random.Random,
         max_steps: int,
         emit: Optional[Callable[[object], object]] = None,
-        labels: tuple[int, ...] = (),
         first_step: int = 0,
         lines: bool = False,
     ) -> tuple[bool, int]:
@@ -277,11 +270,11 @@ class _Kernel:
         ``params`` is SihParams for SIH and SiohParams for SIOH.  Returns
         (absorbed, steps drawn).  When ``emit`` is given, each draw hands it
         one UpdateEvent or, with ``lines``, that event's ``_EVENT_LINE`` text,
-        filled in here without building the event.  The draw order is part
-        of the reproducibility contract: pair index, then mechanism, then
-        (for influence and homophily only) the index of the common neighbor
-        in increasing node order.  SIOH
-        draws its outer branch first and skips it when X_ij = 0.  A matrix
+        filled in here without building the event; both name nodes by their
+        labels.  The draw order is part of the reproducibility contract: pair
+        index, then mechanism, then (for influence and homophily only) the
+        index of the common neighbor in increasing node order.  SIOH draws
+        its outer branch first and skips it when X_ij = 0.  A matrix
         without links leaves no pair to draw and raises ValueError.
 
         On an exact ``random.Random`` each integer draw inlines the loop
@@ -289,7 +282,8 @@ class _Kernel:
         redrawn until below n, the same values from the same stream.  Any
         other rng, a subclass included, is asked for ``randrange``.
         """
-        rows, nz, pos, neg, y, up = self.rows, self.nz, self.pos, self.neg, self.y, self.up
+        rows, labels, y, up = self.rows, self.labels, self.y, self.up
+        nz, pos, neg = self.nz, self.pos, self.neg
         sioh = y is not None
         if sioh:
             q1, q12 = params.q1, params.q1 + params.q2
@@ -379,14 +373,18 @@ class _Kernel:
                 if not old:
                     nz[i] |= bj
                 elif not new:
-                    # Only symmetry writes a zero, copying X_ji = 0, so the
-                    # pair leaves the candidates; a new link never adds one.
-                    # Emptied candidates mean no links, which is absorbed, so
-                    # the loop breaks before a draw could spin on getrandbits(0).
+                    # Symmetry writes a zero by copying X_ji = 0, influence by
+                    # X_ik * X_kj with X_kj = 0.  The pair leaves the candidates,
+                    # in both orders, only when X_ji is 0 as well; a new link
+                    # never adds one.  Emptied candidates mean no links, which is
+                    # absorbed, so the loop breaks before a draw could spin on
+                    # getrandbits(0).
                     nz[i] ^= bj
-                    cands = _candidates(rows, self.n)
-                    ncands = len(cands)
-                    width = ncands.bit_length()
+                    if not rows[j][i]:
+                        cands.remove((i, j))
+                        cands.remove((j, i))
+                        ncands = len(cands)
+                        width = ncands.bit_length()
                 if i < j:
                     if sioh:
                         s = y[i] * y[j]
@@ -460,10 +458,10 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
     else:
         emit = None
     rng = stream(seed)
-    kernel = _Kernel(_row_lists(x0), None if y0 is None else list(y0))
+    kernel = _Kernel(x0, y0)
     absorbed, t = True, 0
     if not kernel.absorbed():
-        absorbed, t = kernel.run(params, rng, max_steps, emit, x0.labels, 0, lines)
+        absorbed, t = kernel.run(params, rng, max_steps, emit, 0, lines)
     final_x = _freeze(kernel.rows, x0.labels)
     final_y = None if y0 is None else tuple(kernel.y)
     if absorbed and not _equilibrium(final_x, final_y):
@@ -476,9 +474,9 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
 
 def _step(x, y, params, rng, step) -> tuple[AppraisalMatrix, Optional[tuple], UpdateEvent]:
     """The body of ``sih_step`` (``y`` None) and ``sioh_step``: (x, y, event) after one draw."""
-    kernel = _Kernel(_row_lists(x), None if y is None else list(y))
+    kernel = _Kernel(x, y)
     events: list[UpdateEvent] = []
-    kernel.run(params, rng, 1, events.append, x.labels, step)
+    kernel.run(params, rng, 1, events.append, step)
     return _freeze(kernel.rows, x.labels), None if y is None else tuple(kernel.y), events[0]
 
 
@@ -545,9 +543,12 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
 
 
 def sih_candidate_pairs(x: AppraisalMatrix) -> list[tuple[int, int]]:
-    """Ordered pairs (i, j), i != j, with X_ij or X_ji nonzero."""
+    """Ordered pairs (i, j), i != j, with X_ij or X_ji nonzero, in row-major order.
+
+    These are the pairs an SIH step draws from: the simulation kernel's own list.
+    """
     labels = x.labels
-    return [(labels[i], labels[j]) for i, j in _candidates(x.rows, x.n)]
+    return [(labels[i], labels[j]) for i, j in _Kernel(x).cands]
 
 
 def sih_step(

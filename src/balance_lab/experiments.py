@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -133,10 +135,7 @@ def _sum(values: Iterable[float]) -> float:
     From Python 3.12 the builtin ``sum`` compensates float rounding, which
     changes the last digits of a regression and so the study summaries.
     """
-    total = 0
-    for v in values:
-        total += v
-    return total
+    return reduce(add, values, 0)
 
 
 def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionResult:

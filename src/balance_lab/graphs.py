@@ -9,8 +9,9 @@ so worked examples keep their node names.
 ``_link_masks`` is the one place where rows become link structure: per
 position, the bit masks of whom it appraises and of who appraises it.  A
 matrix builds them at most once and shares them with every analysis that
-reads links (the skeleton, bilaterality, triads, triad counts); the
-simulation kernel builds its own and updates a list copy in place.
+reads links (the skeleton, bilaterality, triads, triad counts) and with
+the simulation kernel, which updates a list copy of the outgoing masks in
+place.
 
 All types are immutable values after construction and safe to share across
 workers.

@@ -130,6 +130,22 @@ class TestTriadWiseBalance:
         }
         assert kinds == expected[kind]
 
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_every_violation_passes_the_checked_constructor(self, kind):
+        # The producer builds violations unchecked; each must still be one the
+        # checking constructor accepts, with the same fields, type and repr.
+        rng = random.Random(f"violation-checks:{kind}")
+        seen = 0
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            for v in is_triad_wise_balanced(x)[1]:
+                checked = BalanceViolation(v.kind, v.nodes)
+                assert v == checked and type(v) is type(checked) is BalanceViolation, (x, v)
+                assert repr(v) == f"BalanceViolation(kind={v.kind!r}, nodes={v.nodes!r})"
+                assert type(v.nodes) is tuple and all(type(i) is int for i in v.nodes)
+                seen += 1
+        assert (seen == 0) == (kind == "empty"), seen
+
     def test_all_positive_triangle(self):
         x = symmetric(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
         assert is_triad_wise_balanced(x) == (True, [])
@@ -493,3 +509,37 @@ class TestCostByLinks:
             start = time.perf_counter()
             assert check(x) == expected
             assert time.perf_counter() - start < 5.0, check.__name__
+
+
+_PARTITION = FactionPartition(TWO_FACTION, frozenset({1, 2}), frozenset({3}))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BalanceViolation(ASYMMETRIC_PAIR, (1, 2, 3)),
+         "asymmetric-pair violations name exactly two nodes"),
+        (lambda: BalanceViolation(NEGATIVE_TRIAD, (1, 2)),
+         "negative-triad violations name exactly three nodes"),
+        (lambda: BalanceViolation("negative-pair", (1, 2)), "unknown violation kind 'negative-pair'"),
+        (lambda: FactionPartition("three-faction", frozenset({1})),
+         "unknown partition kind 'three-faction'"),
+        (lambda: FactionPartition(NO_NEGATIVE_LINKS, frozenset({1}), frozenset({2})),
+         "no-negative-links witness must have empty v2"),
+        (lambda: FactionPartition(TWO_FACTION, frozenset({1, 2}), frozenset({2, 3})),
+         "factions must be disjoint"),
+        (lambda: _PARTITION.side_of(4), "node 4 not covered by partition"),
+        (lambda: cycle_sign(AppraisalMatrix.zeros(3), (1,)), "a cycle needs at least two nodes"),
+        (lambda: cycle_sign(AppraisalMatrix.zeros(3), (1, 2, 1)), "cycle nodes must be distinct"),
+    ],
+    ids=[
+        "violation-pair-of-three", "violation-triad-of-two", "violation-unknown-kind",
+        "partition-unknown-kind", "partition-no-negative-with-v2", "partition-overlap",
+        "side-of-uncovered", "cycle-sign-one-node", "cycle-sign-repeated-node",
+    ],
+)
+def test_refusal_names_its_fault(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

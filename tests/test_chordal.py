@@ -701,3 +701,36 @@ class TestEliminationCounterexample:
                 assert_separating(g, x)
             outcomes[spans] += 1
         assert min(outcomes.values()) >= 20, outcomes
+
+
+_SQUARE = cycle_skeleton(4)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: find_chords(_SQUARE, (1, 2)), "cycle must have at least three nodes"),
+        (lambda: find_chords(_SQUARE, (1, 2, 1)), "cycle nodes must be distinct"),
+        (lambda: find_chords(_SQUARE, (1, 2, 9)), "cycle node 9 not in graph"),
+        (lambda: find_chords(_SQUARE, (1, 2, 4)), "cycle edge {2, 4} missing from graph"),
+        (lambda: split_by_chord((1, 2, 3, 4, 5), (2, 9)), "chord (2, 9) endpoints not on cycle"),
+        (lambda: SubchordalWitness((1, 2), frozenset()),
+         "witness cycle must be a simple cycle of length >= 3"),
+        (lambda: SubchordalWitness((1, 2, 1, 3), frozenset()),
+         "witness cycle must be a simple cycle of length >= 3"),
+        (lambda: SubchordalWitness((1, 2, 3, 4), frozenset({(1, 6)})),
+         "witness edge (1, 6) leaves the cycle's node set"),
+        (lambda: SubchordalWitness((1, 2, 3, 4), frozenset({(3, 2)})),
+         "witness edge (2, 3) duplicates a cycle edge"),
+    ],
+    ids=[
+        "cycle-too-short", "cycle-repeats-node", "cycle-node-outside", "cycle-edge-missing",
+        "chord-off-cycle", "witness-short-cycle", "witness-repeated-node",
+        "witness-edge-outside", "witness-edge-duplicates-cycle",
+    ],
+)
+def test_refusal_names_its_fault(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

@@ -216,6 +216,9 @@ class TestEquivalence:
         path = tmp_path / "disc.el"
         path.write_text("n 4\n1 2 1\n2 1 1\n3 4 1\n4 3 1\n")
         assert main(["equivalence", "--input", str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: equivalence conditions are defined for connected graphs\n"
 
 
 _FUZZ_NOISE = st.one_of(
@@ -728,6 +731,32 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize(
+        "argv, threads, message",
+        [
+            (["simulate", "--n", "x", "--p", "0.5"], None,
+             "balance-lab simulate: error: argument --n: invalid integer: 'x'"),
+            (["simulate", "--n", "4", "--p", "x"], None,
+             "balance-lab simulate: error: argument --p: invalid number: 'x'"),
+            (["experiment", "--study", "c0", "--n", "x", "--p", "0.4", "--trials", "2"], None,
+             "balance-lab experiment: error: argument --n: invalid integer: 'x'"),
+            (["experiment", "--study", "c0", "--p", "x", "--trials", "2"], None,
+             "balance-lab experiment: error: argument --p: invalid number: 'x'"),
+            (["experiment", "--study", "c0", "--n", "4", "--p", "0.4", "--trials", "2"], "x",
+             "error: BALANCE_LAB_THREADS must be an integer, got 'x'"),
+        ],
+        ids=["simulate-n", "simulate-p", "experiment-n", "experiment-p", "threads"],
+    )
+    def test_unparsable_value_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, threads, message):
+        if argv[0] == "experiment":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        if threads is not None:
+            monkeypatch.setenv(cli.THREADS_ENV, threads)
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("n", _OVER_CEILING)
     @pytest.mark.parametrize(

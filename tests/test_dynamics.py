@@ -837,3 +837,16 @@ class TestStreamedLog:
     @staticmethod
     def fail_on_call(event):
         raise AssertionError(f"unexpected event {event}")
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+def test_non_positive_max_steps_is_refused(engine, max_steps):
+    x0 = AppraisalMatrix.from_edge_list(2, [(1, 2, 1)])
+    with pytest.raises(ValueError) as caught:
+        if engine == "sih":
+            run_sih(x0, SihParams(), 0, max_steps=max_steps)
+        else:
+            run_sioh(SiohState(x0, (1, -1)), SiohParams(), 0, max_steps=max_steps)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "max_steps must be positive"

@@ -10,7 +10,8 @@ recounts the kernel's incremental violation counts and bitset views from
 the dense rows after every step.  The kernel inlines ``randrange``'s loop
 on an exact ``random.Random`` and asks any other rng for ``randrange``;
 the last tests pin that loop against ``randrange``, the fallback on a
-subclass with its own integer stream, and a run whose links all vanish.
+subclass with its own integer stream, a run whose links all vanish, and an
+influence update that erases a link whose reverse stays.
 """
 
 import dataclasses
@@ -21,10 +22,11 @@ import pytest
 
 import reference_dynamics as ref
 from balance_lab.dynamics import (
+    INFLUENCE,
     SihParams,
     SiohParams,
     SiohState,
-    _candidates,
+    UpdateEvent,
     _Kernel,
     run_sih,
     run_sioh,
@@ -32,6 +34,7 @@ from balance_lab.dynamics import (
     sioh_step,
 )
 from balance_lab.graphs import AppraisalMatrix, induced_subgraph
+from balance_lab.rng import stream
 
 from conftest import random_matrix
 
@@ -132,7 +135,7 @@ def test_step_functions_match_reference():
         x0 = random_input(rng, n)
         y0 = random_opinions(rng, n)
         sih, sioh = rng.choice(SIH_WEIGHTS), rng.choice(SIOH_WEIGHTS)
-        if not _candidates(x0.rows, n):
+        if not ref._candidates(x0.rows, n):
             for step, step_ref in ((sih_step, ref.sih_step), (sioh_step, ref.sioh_step)):
                 state = x0 if step is sih_step else SiohState(x0, y0)
                 params = sih if step is sih_step else sioh
@@ -151,7 +154,7 @@ def test_step_functions_match_reference():
             state, event = sioh_step(state, sioh, draws, step=t)
             state_ref, event_ref = ref.sioh_step(state_ref, sioh, draws_ref, step=t)
             assert (state, event) == (state_ref, event_ref), (case, t)
-            if not _candidates(x.rows, n) or not _candidates(state.x.rows, n):
+            if not ref._candidates(x.rows, n) or not ref._candidates(state.x.rows, n):
                 break
 
 
@@ -194,10 +197,11 @@ def test_incremental_ledger_matches_recount_after_every_step(engine):
     steps_checked = 0
     for case in range(80):
         n = rng.randrange(2, 11)
-        rows = [list(r) for r in random_input(rng, n).rows]
-        y = list(random_opinions(rng, n)) if engine == "sioh" else None
+        x0 = random_input(rng, n)
+        y = random_opinions(rng, n) if engine == "sioh" else None
         params = rng.choice(SIOH_WEIGHTS if y is not None else SIH_WEIGHTS)
-        kernel = _Kernel(rows, y)
+        kernel = _Kernel(x0, y)
+        rows, y = kernel.rows, kernel.y
         draws = random.Random(case)
         for _ in range(300):
             bad_pairs, bad_tris, bad_links, views = recount(rows, y)
@@ -253,7 +257,7 @@ def test_subclassed_rng_keeps_its_randrange_stream():
     for case in range(60):
         n = rng.randrange(3, 11)
         x0 = random_input(rng, n)
-        if not _candidates(x0.rows, n):
+        if not ref._candidates(x0.rows, n):
             continue
         y0 = random_opinions(rng, n)
         sih, sioh = rng.choice(SIH_WEIGHTS), rng.choice(SIOH_WEIGHTS)
@@ -268,7 +272,7 @@ def test_subclassed_rng_keeps_its_randrange_stream():
             state_ref, event_ref = ref.sioh_step(state_ref, sioh, draws_ref, step=t)
             assert (state, event) == (state_ref, event_ref), (case, t)
             steps += 1
-            if not _candidates(x.rows, n) or not _candidates(state.x.rows, n):
+            if not ref._candidates(x.rows, n) or not ref._candidates(state.x.rows, n):
                 break
     assert steps > 500
 
@@ -285,3 +289,16 @@ def test_run_whose_links_all_vanish_absorbs():
         assert got == ref.run_sih(x0, SihParams(), seed, log=True), seed
         linkless += not any(any(r) for r in got.final_x.rows)
     assert 50 < linkless < 150
+
+
+def test_influence_zero_keeps_the_pair_while_the_reverse_is_linked():
+    # Step 0 is influence on (3, 1) via 2: X_32 * X_21 = -1 * 0 erases X_31,
+    # but X_13 = -1 still links the pair, so both orders stay candidates.
+    x0 = AppraisalMatrix(((0, -1, -1, 0), (0, 0, 0, 0), (-1, -1, 0, -1), (1, 0, -1, 0)))
+    kernel = _Kernel(x0)
+    events = []
+    kernel.run(SihParams(), stream(0), 1, events.append)
+    assert events == [UpdateEvent(0, 3, 1, INFLUENCE, 2, -1, 0)]
+    assert kernel.rows[2][0] == 0 and kernel.rows[0][2] == -1
+    assert (2, 0) in kernel.cands and (0, 2) in kernel.cands
+    assert kernel.cands == ref._candidates(kernel.rows, 4)

@@ -21,6 +21,7 @@ from balance_lab.experiments import (
     link_density,
     run_study,
     study_summary,
+    _sum,
 )
 from balance_lab.graphs import NODE_LIMIT, AppraisalMatrix, is_bilateral
 
@@ -159,6 +160,24 @@ class TestLinearRegression:
         assert math.fsum(ys) == 1.0
         result = linear_regression([-1, 0, 1], ys)
         assert result.k == -1e16 and result.b == 0.0 and result.r == -1.0
+
+    def test_private_sum_is_the_plain_loop(self):
+        def loop(values):
+            total = 0
+            for v in values:
+                total += v
+            return total
+
+        rng = random.Random("plain-sum")
+        for _ in range(300):
+            values = [
+                rng.uniform(-1, 1) * 10 ** rng.randrange(-20, 20) for _ in range(rng.randrange(0, 40))
+            ]
+            got = _sum(values)
+            assert got == loop(values) and type(got) is type(loop(values)), values
+            assert _sum(iter(values)) == got
+        assert _sum([]) == 0 and type(_sum([])) is int
+        assert _sum([1e16, 1.0, -1e16]) == 0.0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="equal length"):

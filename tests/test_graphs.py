@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balance_lab import graphs
+from balance_lab import balance, dynamics, experiments, graphs
 from balance_lab.balance import enumerate_triads, is_triad_wise_balanced
 from balance_lab.dynamics import SihParams, SiohParams, SiohState, run_sih, run_sioh, sih_step
 from balance_lab.experiments import count_triads
@@ -173,6 +173,26 @@ class TestLinkMaskView:
         skeleton(x), is_bilateral(x), enumerate_triads(x), is_triad_wise_balanced(x)
         count_triads(x)
         assert calls == [x.n]
+
+    def test_a_run_and_its_triad_count_share_one_build(self, monkeypatch):
+        # A study trial runs SIH from x0 and then counts x0's triads.  Every
+        # module that holds a binding of `_link_masks` is counted, so a
+        # kernel with its own build shows up as a second call.
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        real = graphs._link_masks
+        for module in (graphs, balance, experiments, dynamics):
+            if hasattr(module, "_link_masks"):
+                monkeypatch.setattr(module, "_link_masks", counting)
+        x0 = experiments.gen_er_signed(experiments.ErParams(8, 0.5, 0.5), 3)
+        record = run_sih(x0, SihParams(), 0)
+        assert record.absorbed and record.steps > 0
+        assert count_triads(x0) > 0
+        assert calls == [8]
 
     def test_cache_does_not_change_equality_hash_or_repr(self):
         rng = random.Random("cache-identity")
@@ -434,3 +454,61 @@ class TestBulkReader:
     def test_a_file_spelled_otherwise_goes_to_the_line_loop(self, text):
         assert _bulk_rows(text.splitlines()) is None
         assert _parsed(parse_edge_list, text) == _parsed(_by_line_loop, text)
+
+
+class TestEntryConversion:
+    def test_list_rows_and_bool_entries_become_tuples_of_ints(self):
+        # Rows that are not a tuple of tuples of exact ints go through ``int``.
+        for rows in ([[0, 1], [-1, 0]], ((0, True), (-1, False)), [(0, 1), (-1, 0)]):
+            x = AppraisalMatrix(rows)
+            assert x.rows == ((0, 1), (-1, 0)), rows
+            assert type(x.rows) is tuple and all(type(r) is tuple for r in x.rows)
+            assert {type(v) for r in x.rows for v in r} == {int}, rows
+            assert x == AppraisalMatrix(((0, 1), (-1, 0)))
+
+
+_SKELETON = UndirectedSkeleton.from_edges(3, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: AppraisalMatrix([[0, 2], [0, 0]]), ValueError,
+         "appraisal values must be -1, 0 or 1, got 2"),
+        (lambda: AppraisalMatrix(((0, 0), (0, 0)), (1,)), ValueError,
+         "labels length must match matrix size"),
+        (lambda: AppraisalMatrix(((0, 0), (0, 0)), (2, 2)), ValueError,
+         "labels must be strictly increasing positive integers"),
+        (lambda: AppraisalMatrix(((0, 0), (0, 0)), (3, 1)), ValueError,
+         "labels must be strictly increasing positive integers"),
+        (lambda: AppraisalMatrix(((0, 0), (0, 0)), (0, 1)), ValueError,
+         "labels must be strictly increasing positive integers"),
+        (lambda: AppraisalMatrix(((0, 0), (0,))), ValueError, "appraisal matrix must be square"),
+        (lambda: AppraisalMatrix.zeros(3).with_entry(2, 2, 1), ValueError,
+         "diagonal entries are fixed at 0"),
+        (lambda: UndirectedSkeleton((0, 1, 2)), ValueError, "node ids must be positive integers"),
+        (lambda: UndirectedSkeleton((1, 2), frozenset({(2, 2)})), ValueError,
+         "self-pair not allowed: (2, 2)"),
+        (lambda: UndirectedSkeleton((1, 2), frozenset({(1, 3)})), ValueError,
+         "edge (1, 3) has an endpoint outside the node set"),
+        (lambda: _SKELETON.neighbors(9), ValueError, "node 9 not in graph"),
+        (lambda: induced_subgraph(AppraisalMatrix.zeros(3), [1, 5, 4]), ValueError,
+         "nodes not in matrix: [4, 5]"),
+        (lambda: induced_subgraph(_SKELETON, [2, 7]), ValueError, "nodes not in graph: [7]"),
+        (lambda: induced_subgraph([[0, 1], [1, 0]], [1]), TypeError, "unsupported graph type: list"),
+        (lambda: parse_edge_list("# header next\nn x\n1 2 1\n"), EdgeListError,
+         "line 2: bad node count 'x'"),
+    ],
+    ids=[
+        "matrix-list-rows-bad-value", "matrix-label-count", "matrix-repeated-label",
+        "matrix-decreasing-labels", "matrix-zero-label", "matrix-non-square",
+        "with-entry-diagonal", "skeleton-zero-id", "skeleton-self-pair",
+        "skeleton-outside-endpoint", "skeleton-unknown-neighbors", "induced-matrix-missing",
+        "induced-skeleton-missing", "induced-other-type", "edge-list-bad-node-count",
+    ],
+)
+def test_refusal_names_its_fault(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
