@@ -385,7 +385,7 @@ def cmd_simulate(args) -> int:
         y0 = tuple(1 if draw.random() < 0.5 else -1 for _ in range(x0.n))
         state0 = dynamics.SiohState(x0, y0)
         params = _weights(args, dynamics.SiohParams, ("q1", "q2", "q3"), sih=_sih_params(args))
-    # The dynamics write each event's line to the log file as they draw it.
+    # The dynamics write the events' lines to the log file in blocks as they run.
     with _writing(args.log), (
         open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext(False)
     ) as log:

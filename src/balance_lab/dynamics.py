@@ -20,7 +20,10 @@ which simulate every possible update, confirm every absorbed result, one
 absorbed at step 0 included, and the end of every constructive sequence.
 A run can log one UpdateEvent per step, collected into its record or
 handed to a callable as it is drawn, or write each step's JSON line to a
-text stream, filled in by the kernel.
+text stream.  For a stream the kernel assembles each line from per-run
+text tables of the node labels and module tables cut from the one line
+template, and writes the lines in blocks of whole lines, so memory stays
+flat however long the run.
 Deterministic constructive sequences reach absorption from any start by
 symmetrizing the zero pattern and then applying one legal fix at a time,
 each re-validated against the step preconditions, driving a
@@ -32,6 +35,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Optional, TextIO
 
 from .graphs import AppraisalMatrix, _linked_pairs, _skeleton_masks
@@ -108,6 +112,41 @@ class SiohState:
 # values filled in as i, j, k ("null" when absent), mechanism, new, old, step.
 _EVENT_LINE = '{"i": %s, "j": %s, "k": %s, "mechanism": "%s", "new": %s, "old": %s, "step": %s}\n'
 
+# The same template cut at its fields, for a kernel that writes to a text
+# stream.  A line there is three pieces, the step and _LINE_END: the text up
+# to the value of "j" (per node i), the label of j, with ", "k": K" appended
+# for influence and homophily, and the text from "k" or "mechanism" up to
+# "step": , taken from _TAILS[mechanism][new][old].
+_I, _J, _K, _MECH, _NEW, _OLD, _STEP, _LINE_END = _EVENT_LINE.split("%s")
+_TAILS = {
+    mech: {
+        new: {
+            old: ("" if mech in (INFLUENCE, HOMOPHILY) else _K + "null")
+            + f"{_MECH}{mech}{_NEW}{new}{_OLD}{old}{_STEP}"
+            for old in (-1, 0, 1)
+        }
+        for new in (-1, 0, 1)
+    }
+    for mech in MECHANISMS
+}
+# Lines a stream-logged run joins into one write.  Larger blocks measured no
+# cheaper per line, and 4096 took a 20000-step n=16 run's traced peak to
+# 1.2 MB; 256 holds it near 0.3 MB.
+_BLOCK = 256
+
+
+def _line_tables(labels: tuple[int, ...]) -> tuple[list[str], list[str], list[str]]:
+    """Per-node texts of a run's lines: up to "j"'s value, the label, ", "k": K"."""
+    texts = [str(label) for label in labels]
+    return [_I + s + _J for s in texts], texts, [_K + s for s in texts]
+
+
+def _join_lines(pieces: list[str], first_step: int) -> str:
+    """The lines of three pieces per event, numbered from ``first_step``."""
+    it = iter(pieces)
+    steps = map(str, range(first_step, first_step + len(pieces) // 3))
+    return "".join(chain.from_iterable(zip(it, it, it, steps, repeat(_LINE_END))))
+
 
 class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
     """One applied update: the pair, the mechanism, and the value change.
@@ -142,9 +181,10 @@ class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
         """``json.dumps(self.to_dict(), sort_keys=True)`` plus a newline.
 
         Filled into one fixed template rather than serialized, so it holds
-        for integer fields and the five mechanism names.  The kernel fills
-        the same template when a run's ``log`` is a text stream.  This line
-        format is part of the reproducibility contract of ``simulate --log``.
+        for integer fields and the five mechanism names.  When a run's
+        ``log`` is a text stream the kernel writes the same lines, assembled
+        from tables cut from this template.  This line format is part of the
+        reproducibility contract of ``simulate --log``.
         """
         step, i, j, mechanism, k, old, new = self
         return _EVENT_LINE % (i, j, "null" if k is None else k, mechanism, new, old, step)
@@ -269,13 +309,18 @@ class _Kernel:
 
         ``params`` is SihParams for SIH and SiohParams for SIOH.  Returns
         (absorbed, steps drawn).  When ``emit`` is given, each draw hands it
-        one UpdateEvent or, with ``lines``, that event's ``_EVENT_LINE`` text,
-        filled in here without building the event; both name nodes by their
-        labels.  The draw order is part of the reproducibility contract: pair
-        index, then mechanism, then (for influence and homophily only) the
-        index of the common neighbor in increasing node order.  SIOH draws
-        its outer branch first and skips it when X_ij = 0.  A matrix
-        without links leaves no pair to draw and raises ValueError.
+        one UpdateEvent.  With ``lines``, ``emit`` is a text stream's
+        ``write`` instead and is handed the events' ``_EVENT_LINE`` texts,
+        assembled here without building the events: three table pieces per
+        draw are buffered, and every ``_BLOCK`` draws, and once when the loop
+        ends for any reason, the buffered lines are joined and written in
+        one call.  A failed write is not retried.  Either way nodes are
+        named by their labels.  The draw order is part of the
+        reproducibility contract: pair index, then mechanism, then (for
+        influence and homophily only) the index of the common neighbor in
+        increasing node order.  SIOH draws its outer branch first and skips
+        it when X_ij = 0.  A matrix without links leaves no pair to draw and
+        raises ValueError.
 
         On an exact ``random.Random`` each integer draw inlines the loop
         behind CPython's ``randrange(n)``: ``getrandbits(n.bit_length())``,
@@ -301,113 +346,130 @@ class _Kernel:
         bad_pairs, bad_tris, bad_links = self.bad_pairs, self.bad_tris, self.bad_links
         absorbed = False
         t = 0
-        while t < max_steps:
-            if inline:
-                d = getrandbits(width)
-                while d >= ncands:
+        if lines:
+            # Three pieces per event in ``buf``, joined and written every
+            # _BLOCK events; ``written`` counts the events sent before them.
+            heads, texts, ks = _line_tables(labels)
+            tails, buf, written = _TAILS, [], 0
+            extend, last = buf.extend, _BLOCK - 1
+        try:
+            while t < max_steps:
+                if inline:
                     d = getrandbits(width)
-            else:
-                d = randrange(ncands)
-            i, j = cands[d]
-            ri = rows[i]
-            old = ri[j]
-            mech = k = None
-            if sioh:
-                if not old:
-                    # The candidate condition guarantees the reverse link is nonzero.
-                    mech, new = SYMMETRY, rows[j][i]
+                    while d >= ncands:
+                        d = getrandbits(width)
                 else:
-                    r = random_()
-                    if r < q1:
-                        mech, new = OPINION_GOSSIP, old * y[j]
-                        old = y[i]
-                    elif r < q12:
-                        mech, new = PERSON_OPINION_HOMOPHILY, y[i] * y[j]
-            if mech is None:
-                common = nz[i] & nz[j]
-                if common:
-                    r = random_()
-                if not common or r < p1:
-                    mech, new = SYMMETRY, rows[j][i]
-                else:
-                    # The drawn index counts set bits from the lowest node:
-                    # drop that many low bits, then take the lowest left.
-                    c = common.bit_count()
-                    if inline:
-                        w = c.bit_length()
-                        d = getrandbits(w)
-                        while d >= c:
+                    d = randrange(ncands)
+                i, j = cands[d]
+                ri = rows[i]
+                old = ri[j]
+                mech = k = None
+                if sioh:
+                    if not old:
+                        # The candidate condition guarantees the reverse link is nonzero.
+                        mech, new = SYMMETRY, rows[j][i]
+                    else:
+                        r = random_()
+                        if r < q1:
+                            mech, new = OPINION_GOSSIP, old * y[j]
+                            old = y[i]
+                        elif r < q12:
+                            mech, new = PERSON_OPINION_HOMOPHILY, y[i] * y[j]
+                if mech is None:
+                    common = nz[i] & nz[j]
+                    if common:
+                        r = random_()
+                    if not common or r < p1:
+                        mech, new = SYMMETRY, rows[j][i]
+                    else:
+                        # The drawn index counts set bits from the lowest node:
+                        # drop that many low bits, then take the lowest left.
+                        c = common.bit_count()
+                        if inline:
+                            w = c.bit_length()
                             d = getrandbits(w)
+                            while d >= c:
+                                d = getrandbits(w)
+                        else:
+                            d = randrange(c)
+                        for _ in range(d):
+                            common &= common - 1
+                        k = (common & -common).bit_length() - 1
+                        if r < p12:
+                            mech, new = INFLUENCE, ri[k] * rows[k][j]
+                        else:
+                            mech, new = HOMOPHILY, ri[k] * rows[j][k]
+                if emit is not None:
+                    if lines:
+                        extend((heads[i], texts[j] if k is None else texts[j] + ks[k],
+                                tails[mech][new][old]))
+                        if t == last:
+                            # Dropped before the write, so a failed write is not retried.
+                            text = _join_lines(buf, first_step + written)
+                            buf.clear()
+                            written, last = t + 1, t + _BLOCK
+                            emit(text)
                     else:
-                        d = randrange(c)
-                    for _ in range(d):
-                        common &= common - 1
-                    k = (common & -common).bit_length() - 1
-                    if r < p12:
-                        mech, new = INFLUENCE, ri[k] * rows[k][j]
-                    else:
-                        mech, new = HOMOPHILY, ri[k] * rows[j][k]
-            if emit is not None:
-                if lines:
-                    emit(_EVENT_LINE % (labels[i], labels[j], "null" if k is None else labels[k],
-                                        mech, new, old, first_step + t))
+                        emit(make((first_step + t, labels[i], labels[j], mech,
+                                   None if k is None else labels[k], old, new)))
+                t += 1
+                if new == old:
+                    continue
+                if mech == OPINION_GOSSIP:
+                    before = _bad_links_at(pos, neg, up, i, old)
+                    bad_links += (pos[i] | neg[i]).bit_count() - 2 * before
+                    y[i] = new
+                    up ^= 1 << i
                 else:
-                    emit(make((first_step + t, labels[i], labels[j], mech,
-                               None if k is None else labels[k], old, new)))
-            t += 1
-            if new == old:
-                continue
-            if mech == OPINION_GOSSIP:
-                before = _bad_links_at(pos, neg, up, i, old)
-                bad_links += (pos[i] | neg[i]).bit_count() - 2 * before
-                y[i] = new
-                up ^= 1 << i
-            else:
-                back = rows[j][i]
-                if old == back:
-                    bad_pairs += 1
-                elif new == back:
-                    bad_pairs -= 1
-                ri[j] = new
-                bj = 1 << j
-                if not old:
-                    nz[i] |= bj
-                elif not new:
-                    # Symmetry writes a zero by copying X_ji = 0, influence by
-                    # X_ik * X_kj with X_kj = 0.  The pair leaves the candidates,
-                    # in both orders, only when X_ji is 0 as well; a new link
-                    # never adds one.  Emptied candidates mean no links, which is
-                    # absorbed, so the loop breaks before a draw could spin on
-                    # getrandbits(0).
-                    nz[i] ^= bj
-                    if not rows[j][i]:
-                        cands.remove((i, j))
-                        cands.remove((j, i))
-                        ncands = len(cands)
-                        width = ncands.bit_length()
-                if i < j:
-                    if sioh:
-                        s = y[i] * y[j]
-                        bad_links += (new != 0 and new != s) - (old != 0 and old != s)
-                    else:
-                        bad_tris += _bad_tris_through(pos, neg, i, j, new)
-                        bad_tris -= _bad_tris_through(pos, neg, i, j, old)
-                    bi = 1 << i
-                    if old > 0:
-                        pos[i] ^= bj
-                        pos[j] ^= bi
-                    elif old < 0:
-                        neg[i] ^= bj
-                        neg[j] ^= bi
-                    if new > 0:
-                        pos[i] |= bj
-                        pos[j] |= bi
-                    elif new < 0:
-                        neg[i] |= bj
-                        neg[j] |= bi
-            if not bad_pairs and not (bad_links if sioh else bad_tris):
-                absorbed = True
-                break
+                    back = rows[j][i]
+                    if old == back:
+                        bad_pairs += 1
+                    elif new == back:
+                        bad_pairs -= 1
+                    ri[j] = new
+                    bj = 1 << j
+                    if not old:
+                        nz[i] |= bj
+                    elif not new:
+                        # Symmetry writes a zero by copying X_ji = 0, influence by
+                        # X_ik * X_kj with X_kj = 0.  The pair leaves the candidates,
+                        # in both orders, only when X_ji is 0 as well; a new link
+                        # never adds one.  Emptied candidates mean no links, which is
+                        # absorbed, so the loop breaks before a draw could spin on
+                        # getrandbits(0).
+                        nz[i] ^= bj
+                        if not rows[j][i]:
+                            cands.remove((i, j))
+                            cands.remove((j, i))
+                            ncands = len(cands)
+                            width = ncands.bit_length()
+                    if i < j:
+                        if sioh:
+                            s = y[i] * y[j]
+                            bad_links += (new != 0 and new != s) - (old != 0 and old != s)
+                        else:
+                            bad_tris += _bad_tris_through(pos, neg, i, j, new)
+                            bad_tris -= _bad_tris_through(pos, neg, i, j, old)
+                        bi = 1 << i
+                        if old > 0:
+                            pos[i] ^= bj
+                            pos[j] ^= bi
+                        elif old < 0:
+                            neg[i] ^= bj
+                            neg[j] ^= bi
+                        if new > 0:
+                            pos[i] |= bj
+                            pos[j] |= bi
+                        elif new < 0:
+                            neg[i] |= bj
+                            neg[j] |= bi
+                if not bad_pairs and not (bad_links if sioh else bad_tris):
+                    absorbed = True
+                    break
+        finally:
+            # Every drawn line reaches the stream, however the loop ended.
+            if lines and buf:
+                emit(_join_lines(buf, first_step + written))
         self.cands, self.up = cands, up
         self.bad_pairs, self.bad_tris, self.bad_links = bad_pairs, bad_tris, bad_links
         return absorbed, t
@@ -445,7 +507,7 @@ def _run(x0, y0, params, seed, max_steps, log) -> AbsorptionRecord:
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     # False logs nothing, True collects into ``events``, a callable is handed
-    # each event, and a writable text stream is written each event's line.
+    # each event, and a writable text stream is written the events' lines.
     events: Optional[list[UpdateEvent]] = None
     lines = False
     if callable(log):
@@ -601,10 +663,12 @@ def run_sih(
     ``log=True`` collects one UpdateEvent per step into ``record.events``.
     A callable ``log`` is instead handed each event as it is drawn, in step
     order.  A writable text stream ``log`` (not callable, with ``write``)
-    is written each event's ``UpdateEvent.to_json_line()`` text as it is
-    drawn, without the event being built.  With either, ``record.events``
-    is None and memory stays flat in the number of steps.  An input that
-    starts absorbed draws no event and writes nothing.
+    is written each event's ``UpdateEvent.to_json_line()`` text, without
+    the event being built, in blocks of whole lines: one ``write`` per
+    ``_BLOCK`` events and one for the rest when the run ends, also when it
+    ends by an exception.  With either, ``record.events`` is None and
+    memory stays flat in the number of steps.  An input that starts
+    absorbed draws no event and writes nothing.
     """
     return _run(x0, None, params, seed, max_steps, log)
 
@@ -688,9 +752,9 @@ def run_sioh(
     """Run SIOH updates until the absorbing alignment or ``max_steps``.
 
     ``log`` works as in ``run_sih``: True collects the events into
-    ``record.events``; a callable is handed each event and a writable text
-    stream is written each event's JSON line, in step order, and both
-    leave ``record.events`` None.
+    ``record.events``; a callable is handed each event, and a writable text
+    stream is written the events' JSON lines in blocks of whole lines, in
+    step order, and both leave ``record.events`` None.
     """
     return _run(state0.x, state0.y, params, seed, max_steps, log)
 

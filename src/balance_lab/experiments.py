@@ -174,12 +174,14 @@ STUDIES = {"c0": "p_neg", "density": "p", "triads": None}
 def _run_trial(args: tuple) -> TrialRecord:
     (trial_index, master_seed, n, p, p_neg, params, max_steps) = args
     trial_seed = derive_seed(master_seed, trial_index)
-    draw = stream(trial_seed, _TAG_PARAM)
-    # The varying parameter (None) is drawn uniformly on [0, 1]; p first.
-    if p is None:
-        p = draw.random()
-    if p_neg is None:
-        p_neg = draw.random()
+    # The varying parameter (None) is drawn uniformly on [0, 1], p first, from
+    # one stream that a trial drawing neither does not build.
+    if p is None or p_neg is None:
+        draw = stream(trial_seed, _TAG_PARAM)
+        if p is None:
+            p = draw.random()
+        if p_neg is None:
+            p_neg = draw.random()
     er = ErParams(n, p, p_neg)
     x0 = gen_er_signed(er, derive_seed(trial_seed, _TAG_GRAPH))
     record = run_sih(x0, params, derive_seed(trial_seed, _TAG_RUN), max_steps)

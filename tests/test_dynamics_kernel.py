@@ -5,34 +5,46 @@ match exactly: absorption flag, step count, final state and every event,
 which pins the RNG draw order (pair, mechanism, neighbor).  A run whose
 ``log`` is a callable must hand it the events the reference collects with
 ``log=True``, in order, and return no events of its own; a writable
-``log`` must be written exactly those events' JSON lines.  The ledger test
-recounts the kernel's incremental violation counts and bitset views from
-the dense rows after every step.  The kernel inlines ``randrange``'s loop
-on an exact ``random.Random`` and asks any other rng for ``randrange``;
-the last tests pin that loop against ``randrange``, the fallback on a
-subclass with its own integer stream, a run whose links all vanish, and an
-influence update that erases a link whose reverse stays.
+``log`` must be written exactly those events' JSON lines, in whole-line
+blocks of at most ``_BLOCK`` lines, also when the run is cut at a block
+edge, absorbs mid-block or is stopped by an exception; a failed write is
+not retried, and the text tables assemble ``json.dumps`` of every kind of
+event.  The ledger test recounts the kernel's incremental violation counts
+and bitset views from the dense rows after every step.  The kernel inlines
+``randrange``'s loop on an exact ``random.Random`` and asks any other rng
+for ``randrange``; the last tests pin that loop against ``randrange``, the
+fallback on a subclass with its own integer stream, a run whose links all
+vanish, and an influence update that erases a link whose reverse stays.
 """
 
 import dataclasses
 import io
+import itertools
+import json
 import random
 
 import pytest
 
 import reference_dynamics as ref
 from balance_lab.dynamics import (
+    _BLOCK,
+    _TAILS,
+    HOMOPHILY,
     INFLUENCE,
+    MECHANISMS,
     SihParams,
     SiohParams,
     SiohState,
     UpdateEvent,
     _Kernel,
+    _join_lines,
+    _line_tables,
     run_sih,
     run_sioh,
     sih_step,
     sioh_step,
 )
+from balance_lab.experiments import ErParams, gen_er_signed
 from balance_lab.graphs import AppraisalMatrix, induced_subgraph
 from balance_lab.rng import stream
 
@@ -126,6 +138,142 @@ def test_stream_log_writes_the_lines_of_the_collected_events(engine):
         without_k += any(e.k is None for e in collected.events)
         absorbed_at_start += collected.steps == 0 and sink.getvalue() == ""
     assert with_k > 10 and without_k > 10 and absorbed_at_start > 3
+
+
+class WriteRecorder:
+    """A text stream that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+def gapped_start(engine, n, p, seed):
+    """An ER input on nodes 2..n without the multiples of 5, SIH or SIOH."""
+    keep = [v for v in range(2, n + 1) if v % 5]
+    x0 = induced_subgraph(gen_er_signed(ErParams(n, p, 0.4), seed), keep)
+    if engine == "sih":
+        return x0, SihParams()
+    return SiohState(x0, random_opinions(random.Random(seed), len(keep))), SiohParams()
+
+
+def check_blocked_writes(run, state0, params, seed, max_steps):
+    """The record of a run whose stream got exactly its lines, in whole-line blocks."""
+    collected = run(state0, params, seed, max_steps, log=True)
+    sink = WriteRecorder()
+    record = run(state0, params, seed, max_steps, log=sink)
+    assert dataclasses.replace(record, events=collected.events) == collected
+    assert "".join(sink.calls) == "".join(e.to_json_line() for e in collected.events)
+    counts = [text.count("\n") for text in sink.calls]
+    assert all(text.endswith("\n") for text in sink.calls)
+    assert all(0 < c <= _BLOCK for c in counts)
+    # Full blocks, then the rest once the run ends.
+    assert counts[:-1] == [_BLOCK] * (len(counts) - 1)
+    assert len(counts) == -(-record.steps // _BLOCK)
+    return record
+
+
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_censored_stream_log_writes_whole_blocks(engine, blocks, extra):
+    # A run cut after _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 * _BLOCK + 1 steps.
+    max_steps = blocks * _BLOCK + extra
+    run = run_sih if engine == "sih" else run_sioh
+    state0, params = gapped_start(engine, 14, 0.6, 3)
+    record = check_blocked_writes(run, state0, params, 3, max_steps)
+    assert not record.absorbed and record.steps == max_steps
+
+
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+def test_stream_log_of_runs_absorbed_mid_block(engine):
+    run = run_sih if engine == "sih" else run_sioh
+    rng = random.Random(808)
+    first_block = later_block = 0
+    for seed in range(60):
+        state0, params = gapped_start(engine, rng.randrange(6, 11), rng.uniform(0.4, 0.9), seed)
+        record = check_blocked_writes(run, state0, params, seed, 5000)
+        if record.absorbed and record.steps % _BLOCK:
+            first_block += 0 < record.steps < _BLOCK
+            later_block += record.steps > _BLOCK
+    assert first_block > 10 and later_block > 5
+
+
+class FailingDraws(random.Random):
+    """Raises on the ``limit``-th call of ``random``, which its ``randrange`` calls too."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.left = limit
+
+    def random(self):
+        self.left -= 1
+        if not self.left:
+            raise KeyboardInterrupt
+        return super().random()
+
+
+@pytest.mark.parametrize("engine", ["sih", "sioh"])
+@pytest.mark.parametrize("limit", [1, 9, 600, 1500])
+def test_run_stopped_by_an_exception_still_writes_its_drawn_lines(engine, limit):
+    state0, params = gapped_start(engine, 14, 0.6, 5)
+    x0, y0 = (state0, None) if engine == "sih" else (state0.x, state0.y)
+    events, sink = [], WriteRecorder()
+    for emit, lines in ((events.append, False), (sink.write, True)):
+        with pytest.raises(KeyboardInterrupt):
+            _Kernel(x0, y0).run(params, FailingDraws(5, limit), 10**5, emit, 0, lines)
+    assert bool(events) == (limit > 1) and (limit < 1500 or len(events) > _BLOCK)
+    assert "".join(sink.calls) == "".join(e.to_json_line() for e in events)
+    assert all(0 < text.count("\n") <= _BLOCK for text in sink.calls)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_failed_write_is_not_retried(failing_call):
+    class FullDisk(WriteRecorder):
+        def write(self, text):
+            super().write(text)
+            if len(self.calls) == failing_call:
+                raise OSError("no space left on device")
+            return len(text)
+
+    state0, params = gapped_start("sih", 14, 0.6, 3)
+    sink = FullDisk()
+    with pytest.raises(OSError, match="no space"):
+        run_sih(state0, params, 3, 5 * _BLOCK, log=sink)
+    assert len(sink.calls) == failing_call
+    assert all(text.count("\n") == _BLOCK for text in sink.calls)
+
+
+def test_line_tables_assemble_json_dumps_of_every_event():
+    # The kernel's pieces, one line at a time and as one block, against the
+    # serialization the line format promises, for every mechanism and every
+    # new and old value, with multi-digit labels and steps.
+    labels = (2, 10, 123, 4096, 10**6 + 7)
+    heads, texts, ks = _line_tables(labels)
+    triples = [(0, 4, None), (3, 1, None), (4, 2, 0), (1, 0, 3)]
+    pieces, events = [], []
+    for mechanism in MECHANISMS:
+        needs_k = mechanism in (INFLUENCE, HOMOPHILY)
+        for new, old in itertools.product((-1, 0, 1), repeat=2):
+            for i, j, k in triples:
+                if needs_k == (k is None):
+                    continue
+                step = 10**6 - 3 + len(events)
+                events.append(UpdateEvent(
+                    step, labels[i], labels[j], mechanism, None if k is None else labels[k], old, new
+                ))
+                event_pieces = [heads[i], texts[j] if k is None else texts[j] + ks[k],
+                                _TAILS[mechanism][new][old]]
+                for first in (step, 10**9 + 1):
+                    want = json.dumps(events[-1]._replace(step=first).to_dict(), sort_keys=True) + "\n"
+                    assert _join_lines(event_pieces, first) == want
+                pieces += event_pieces
+    assert len(events) == 5 * 9 * 2
+    assert _join_lines(pieces, 10**6 - 3) == "".join(
+        json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events
+    )
 
 
 def test_step_functions_match_reference():

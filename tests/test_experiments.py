@@ -289,6 +289,34 @@ class TestStudies:
         assert reg == linear_regression([x for x, _ in pairs], [y for _, y in pairs])
         assert reg.k is not None
 
+    @pytest.mark.parametrize(
+        "p, p_neg, builds",
+        [(0.5, None, 12), (None, 0.3, 12), (0.5, 0.3, 0)],
+        ids=["c0", "density", "triads"],
+    )
+    def test_parameter_stream_is_built_only_for_a_drawn_parameter(
+        self, monkeypatch, p, p_neg, builds
+    ):
+        # One stream per trial when p or p_neg is drawn, none when both are
+        # fixed; the drawn value is that stream's first number either way.
+        from balance_lab import experiments
+        from balance_lab.rng import derive_seed, stream
+
+        calls = []
+
+        def spy(master, *path):
+            calls.append(path)
+            return stream(master, *path)
+
+        monkeypatch.setattr(experiments, "stream", spy)
+        records, _ = run_study(5, p, p_neg, 12, master_seed=116)
+        assert calls.count((experiments._TAG_PARAM,)) == builds
+        for r in records:
+            drawn = r.er.p if p is None else r.er.p_neg if p_neg is None else None
+            if drawn is not None:
+                assert drawn == stream(r.seed, experiments._TAG_PARAM).random()
+            assert r.seed == derive_seed(116, r.trial_index)
+
     def test_drawing_both_parameters_rejected(self):
         with pytest.raises(ValueError, match="at most one"):
             run_study(6, None, None, 10, master_seed=115)
