@@ -15,13 +15,13 @@ with an explicit ``force`` override.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     AppraisalMatrix,
     UndirectedSkeleton,
+    _checked_replace,
     _linked_pairs,
     _skeleton_masks,
     _triangle_walk,
@@ -52,6 +52,7 @@ class BalanceViolation(namedtuple("BalanceViolation", "kind nodes")):
     """
 
     __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
     def __new__(cls, kind: str, nodes: tuple[int, ...]):
         if kind == ASYMMETRIC_PAIR and len(nodes) != 2:
@@ -63,26 +64,26 @@ class BalanceViolation(namedtuple("BalanceViolation", "kind nodes")):
         return super().__new__(cls, kind, nodes)
 
 
-@dataclass(frozen=True)
-class FactionPartition:
+class FactionPartition(namedtuple("FactionPartition", "kind v1 v2")):
     """Witness for two-faction balance.
 
     ``kind`` is ``"two-faction"`` for a genuine bipartition (v1 and v2
     disjoint, covering all nodes) or ``"no-negative-links"`` for the
-    degenerate all-friendly case, where v2 is empty.
+    degenerate all-friendly case, where v2 is empty.  An immutable tuple
+    whose constructor checks the kind and the factions.
     """
 
-    kind: str
-    v1: frozenset[int]
-    v2: frozenset[int] = frozenset()
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
-    def __post_init__(self):
-        if self.kind not in (TWO_FACTION, NO_NEGATIVE_LINKS):
-            raise ValueError(f"unknown partition kind {self.kind!r}")
-        if self.kind == NO_NEGATIVE_LINKS and self.v2:
+    def __new__(cls, kind: str, v1: frozenset[int], v2: frozenset[int] = frozenset()):
+        if kind not in (TWO_FACTION, NO_NEGATIVE_LINKS):
+            raise ValueError(f"unknown partition kind {kind!r}")
+        if kind == NO_NEGATIVE_LINKS and v2:
             raise ValueError("no-negative-links witness must have empty v2")
-        if self.v1 & self.v2:
+        if v1 & v2:
             raise ValueError("factions must be disjoint")
+        return super().__new__(cls, kind, v1, v2)
 
     def side_of(self, node: int) -> int:
         if node in self.v1:

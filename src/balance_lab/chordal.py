@@ -20,7 +20,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Optional
 
 from .balance import (
@@ -29,7 +29,7 @@ from .balance import (
     detect_two_faction,
     enumerate_simple_cycles,
 )
-from .graphs import AppraisalMatrix, UndirectedSkeleton, _triangle_walk
+from .graphs import AppraisalMatrix, UndirectedSkeleton, _checked_replace, _triangle_walk
 
 EXHAUSTIVE_EDGE_LIMIT = 14
 
@@ -127,29 +127,34 @@ def is_chordal(g: UndirectedSkeleton) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubchordalWitness:
-    """A chordal subgraph on exactly a cycle's nodes containing its edges."""
+class SubchordalWitness(namedtuple("SubchordalWitness", "cycle extra_edges")):
+    """A chordal subgraph on exactly a cycle's nodes containing its edges.
 
-    cycle: Cycle
-    extra_edges: frozenset[tuple[int, int]]
+    An immutable tuple: the constructor stores the cycle as a tuple and the
+    extra edges as pairs ``(a, b)`` with ``a < b``, and refuses a witness
+    that is not chordal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        object.__setattr__(
-            self, "extra_edges", frozenset(_pair(a, b) for a, b in self.extra_edges)
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
+
+    def __new__(cls, cycle: Cycle, extra_edges: frozenset[tuple[int, int]]):
+        self = super().__new__(
+            cls, tuple(cycle), frozenset(_pair(a, b) for a, b in extra_edges)
         )
-        nodes = set(self.cycle)
-        if len(self.cycle) < 3 or len(nodes) != len(self.cycle):
+        cycle, extra_edges = self
+        nodes = set(cycle)
+        if len(cycle) < 3 or len(nodes) != len(cycle):
             raise ValueError("witness cycle must be a simple cycle of length >= 3")
-        base = _cycle_edges(self.cycle)
-        for e in self.extra_edges:
+        base = _cycle_edges(cycle)
+        for e in extra_edges:
             if e[0] not in nodes or e[1] not in nodes:
                 raise ValueError(f"witness edge {e} leaves the cycle's node set")
             if e in base:
                 raise ValueError(f"witness edge {e} duplicates a cycle edge")
         if not is_chordal(self.graph()):
             raise ValueError("witness edges do not form a chordal graph")
+        return self
 
     @property
     def all_edges(self) -> frozenset[tuple[int, int]]:
@@ -162,11 +167,10 @@ class SubchordalWitness:
         )
 
 
-@dataclass(frozen=True)
-class TriangulationFan:
+class TriangulationFan(namedtuple("TriangulationFan", "triads")):
     """The ``m - 2`` triangles of a triangulation of an m-cycle's polygon."""
 
-    triads: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
 
 def _triangulation(
@@ -281,14 +285,17 @@ def maximal_cyclic_subgraphs(
     return [node_set for node_set, _ in _maximal_cycle_groups(g, force)]
 
 
-@dataclass(frozen=True)
-class SubgraphCertificate:
-    """Per-maximal-cyclic-subgraph outcome of the equivalence conditions."""
+class SubgraphCertificate(
+    namedtuple("SubgraphCertificate", "nodes certified cycle reason", defaults=(None,))
+):
+    """Per-maximal-cyclic-subgraph outcome of the equivalence conditions.
 
-    nodes: tuple[int, ...]
-    certified: bool
-    cycle: Optional[Cycle]
-    reason: Optional[str] = None
+    ``nodes`` is the subgraph's sorted node tuple, ``cycle`` the certifying
+    covering cycle or None, and ``reason`` why no cycle was needed or none
+    certifies, or None.
+    """
+
+    __slots__ = ()
 
 
 def check_equivalence_conditions(

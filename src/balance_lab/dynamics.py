@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Callable, Optional, TextIO
 
-from .graphs import AppraisalMatrix, _linked_pairs, _skeleton_masks
+from .graphs import AppraisalMatrix, _checked_replace, _linked_pairs, _skeleton_masks
 from .rng import stream
 
 SYMMETRY = "symmetry"
@@ -53,9 +51,8 @@ DEFAULT_MAX_STEPS = 10**6
 _PROB_TOL = 1e-12
 
 
-def _check_weights(params, names: tuple[str, str, str]) -> None:
+def _check_weights(names: tuple[str, str, str], values: tuple[float, float, float]) -> None:
     """Refuse mechanism weights that are not all positive or do not sum to 1."""
-    values = [getattr(params, name) for name in names]
     for name, value in zip(names, values):
         if not value > 0:
             raise ValueError(f"{name} must be positive")
@@ -64,45 +61,47 @@ def _check_weights(params, names: tuple[str, str, str]) -> None:
         raise ValueError(f"{a}, {b} and {c} must sum to 1 (no renormalization)")
 
 
-@dataclass(frozen=True)
-class SihParams:
+class SihParams(namedtuple("SihParams", "p1 p2 p3")):
     """Mechanism weights for SIH updates; all positive, summing to one."""
 
-    p1: float = 1 / 3
-    p2: float = 1 / 3
-    p3: float = 1 / 3
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
-    def __post_init__(self):
-        _check_weights(self, ("p1", "p2", "p3"))
+    def __new__(cls, p1: float = 1 / 3, p2: float = 1 / 3, p3: float = 1 / 3):
+        _check_weights(("p1", "p2", "p3"), (p1, p2, p3))
+        return super().__new__(cls, p1, p2, p3)
 
 
-@dataclass(frozen=True)
-class SiohParams:
+class SiohParams(namedtuple("SiohParams", "q1 q2 q3 sih")):
     """Weights for opinion gossip, person-opinion homophily, embedded SIH."""
 
-    q1: float = 1 / 3
-    q2: float = 1 / 3
-    q3: float = 1 / 3
-    sih: SihParams = field(default_factory=SihParams)
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
-    def __post_init__(self):
-        _check_weights(self, ("q1", "q2", "q3"))
+    def __new__(
+        cls, q1: float = 1 / 3, q2: float = 1 / 3, q3: float = 1 / 3, sih: SihParams = SihParams()
+    ):
+        _check_weights(("q1", "q2", "q3"), (q1, q2, q3))
+        return super().__new__(cls, q1, q2, q3, sih)
 
 
-@dataclass(frozen=True)
-class SiohState:
-    """Appraisal matrix paired with a +-1 opinion per node."""
+class SiohState(namedtuple("SiohState", "x y")):
+    """Appraisal matrix paired with a +-1 opinion per node.
 
-    x: AppraisalMatrix
-    y: tuple[int, ...]
+    An immutable tuple; the constructor stores ``y`` as a tuple of ints and
+    checks its length and values.
+    """
 
-    def __post_init__(self):
-        y = tuple(int(v) for v in self.y)
-        object.__setattr__(self, "y", y)
-        if len(y) != self.x.n:
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
+
+    def __new__(cls, x: AppraisalMatrix, y: tuple[int, ...]):
+        y = tuple(int(v) for v in y)
+        if len(y) != x.n:
             raise ValueError("opinion vector length must match node count")
         if any(v not in (-1, 1) for v in y):
             raise ValueError("opinions must be -1 or +1")
+        return super().__new__(cls, x, y)
 
     def opinion(self, i: int) -> int:
         return self.y[self.x.index_of(i)]
@@ -142,10 +141,18 @@ def _line_tables(labels: tuple[int, ...]) -> tuple[list[str], list[str], list[st
 
 
 def _join_lines(pieces: list[str], first_step: int) -> str:
-    """The lines of three pieces per event, numbered from ``first_step``."""
-    it = iter(pieces)
-    steps = map(str, range(first_step, first_step + len(pieces) // 3))
-    return "".join(chain.from_iterable(zip(it, it, it, steps, repeat(_LINE_END))))
+    """The lines of three pieces per event, numbered from ``first_step``.
+
+    Each line is five strings: the three pieces, the step and _LINE_END,
+    placed by extended-slice assignment into one preallocated list.
+    """
+    m = len(pieces) // 3
+    out = [_LINE_END] * (5 * m)
+    out[0::5] = pieces[0::3]
+    out[1::5] = pieces[1::3]
+    out[2::5] = pieces[2::3]
+    out[3::5] = map(str, range(first_step, first_step + m))
+    return "".join(out)
 
 
 class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
@@ -159,6 +166,7 @@ class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
     """
 
     __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
     def __new__(
         cls, step: int, i: int, j: int, mechanism: str, k: Optional[int], old: int, new: int
@@ -190,15 +198,17 @@ class UpdateEvent(namedtuple("UpdateEvent", "step i j mechanism k old new")):
         return _EVENT_LINE % (i, j, "null" if k is None else k, mechanism, new, old, step)
 
 
-@dataclass(frozen=True)
-class AbsorptionRecord:
-    """Outcome of one trajectory: absorption flag, step count, final state."""
+class AbsorptionRecord(
+    namedtuple("AbsorptionRecord", "absorbed steps final_x final_y events", defaults=(None, None))
+):
+    """Outcome of one trajectory: absorption flag, step count, final state.
 
-    absorbed: bool
-    steps: int
-    final_x: AppraisalMatrix
-    final_y: Optional[tuple[int, ...]] = None
-    events: Optional[tuple[UpdateEvent, ...]] = None
+    ``final_y`` holds the final opinions for SIOH and is None for SIH;
+    ``events`` holds the UpdateEvents of a run logged with ``log=True`` and
+    is None otherwise.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

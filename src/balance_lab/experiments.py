@@ -16,14 +16,14 @@ both.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .dynamics import DEFAULT_MAX_STEPS, SihParams, run_sih
-from .graphs import AppraisalMatrix, _check_node_count, _linked_pairs
+from .graphs import AppraisalMatrix, _check_node_count, _checked_replace, _linked_pairs
 from .rng import derive_seed, stream
 
 # Sub-stream tags within one trial.
@@ -32,8 +32,7 @@ _TAG_GRAPH = 1
 _TAG_RUN = 2
 
 
-@dataclass(frozen=True)
-class ErParams:
+class ErParams(namedtuple("ErParams", "n p p_neg")):
     """Signed bilateral Erdos-Renyi parameters.
 
     Each unordered pair gets both directed links with probability ``p``;
@@ -41,43 +40,36 @@ class ErParams:
     ``p_neg``, independently per direction.
     """
 
-    n: int
-    p: float
-    p_neg: float
+    __slots__ = ()
+    _replace = __replace__ = _checked_replace
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, p: float, p_neg: float):
+        if n < 2:
             raise ValueError("n must be at least 2")
-        _check_node_count(self.n)
-        if not 0.0 <= self.p <= 1.0:
+        _check_node_count(n)
+        if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if not 0.0 <= self.p_neg <= 1.0:
+        if not 0.0 <= p_neg <= 1.0:
             raise ValueError("p_neg must lie in [0, 1]")
+        return super().__new__(cls, n, p, p_neg)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte-Carlo trial: generator settings, seed, metrics, outcome."""
+class TrialRecord(
+    namedtuple("TrialRecord", "trial_index seed er c0 c_inf rho_link n_triad steps absorbed")
+):
+    """One Monte-Carlo trial: generator settings, seed, metrics, outcome.
 
-    trial_index: int
-    seed: int
-    er: ErParams
-    c0: Optional[float]
-    c_inf: Optional[float]
-    rho_link: float
-    n_triad: int
-    steps: int
-    absorbed: bool
+    ``er`` is the ErParams the trial's graph was drawn with; ``c0`` and
+    ``c_inf`` are None when that graph has no links.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(namedtuple("RegressionResult", "k b r n_points")):
     """Least-squares line and Pearson correlation; None marks undefined."""
 
-    k: Optional[float]
-    b: Optional[float]
-    r: Optional[float]
-    n_points: int
+    __slots__ = ()
 
 
 def gen_er_signed(params: ErParams, seed: int) -> AppraisalMatrix:

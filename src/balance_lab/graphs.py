@@ -19,7 +19,6 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, mul
@@ -119,8 +118,38 @@ def _check_link(n: int, i: int, j: int, s: int, seen: set[tuple[int, int]]) -> N
     seen.add((i, j))
 
 
-@dataclass(frozen=True)
-class AppraisalMatrix:
+def _checked_replace(self, **changes):
+    """``_replace`` for a named tuple whose constructor checks its arguments.
+
+    The generated ``_replace`` builds through the unchecked ``_make``; this
+    one builds through the constructor, so the new value is checked too.
+    Such a type also sets it as ``__replace__``, which ``copy.replace``
+    calls from Python 3.13 on.
+    """
+    value = type(self)(*map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return value
+
+
+class _Frozen:
+    """Refuses to set or delete an attribute once the value is built.
+
+    Subclasses write their fields once, in ``__init__``, through
+    ``object.__setattr__``; ``functools.cached_property`` writes into the
+    instance ``__dict__`` directly and so still works.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AppraisalMatrix(_Frozen):
     """Square ternary matrix of interpersonal appraisals with zero diagonal.
 
     ``rows`` is positional storage; ``labels[a]`` is the external id of
@@ -133,25 +162,20 @@ class AppraisalMatrix:
     Construction checks every entry with C-level row operations.  It
     converts entries with ``int`` unless one type scan finds ``rows``
     already a tuple of tuples of exact ints, as every constructor in the
-    library builds it.
+    library builds it.  Immutable, compared and hashed by ``(rows,
+    labels)``, and equal only to another ``AppraisalMatrix``; not a tuple,
+    so ``len`` of a matrix is an error rather than 2.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...] = ()
-    _pos: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] = ()):
         if (
             type(rows) is not tuple
             or set(map(type, rows)) != {tuple}
             or set(map(type, chain.from_iterable(rows))) != {int}
         ):
             rows = tuple(tuple(map(int, row)) for row in rows)
-            object.__setattr__(self, "rows", rows)
         n = len(rows)
-        labels = tuple(map(int, self.labels or _default_labels(n)))
-        object.__setattr__(self, "labels", labels)
+        labels = tuple(map(int, labels or _default_labels(n)))
         if len(labels) != n:
             raise ValueError("labels length must match matrix size")
         if (labels and labels[0] < 1) or any(
@@ -166,7 +190,20 @@ class AppraisalMatrix:
             if not _TERNARY.issuperset(row):
                 v = next(v for v in row if v not in _TERNARY)
                 raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", dict(zip(labels, range(n))))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rows={self.rows!r}, labels={self.labels!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.labels) == (other.rows, other.labels)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.labels))
 
     @cached_property
     def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -244,34 +281,44 @@ class AppraisalMatrix:
         return sum(row.count(-1) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class UndirectedSkeleton:
-    """Unsigned undirected graph: node ids plus a set of unordered pairs."""
+class UndirectedSkeleton(_Frozen):
+    """Unsigned undirected graph: node ids plus a set of unordered pairs.
 
-    nodes: tuple[int, ...]
-    edges: frozenset[tuple[int, int]] = frozenset()
-    _adj: dict = field(init=False, repr=False, compare=False, default=None)
+    Immutable, compared and hashed by ``(nodes, edges)``, like
+    ``AppraisalMatrix``; not a tuple.
+    """
 
-    def __post_init__(self):
-        nodes = tuple(sorted({int(v) for v in self.nodes}))
+    def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]] = frozenset()):
+        nodes = tuple(sorted({int(v) for v in nodes}))
         if nodes and nodes[0] < 1:
             raise ValueError("node ids must be positive integers")
         node_set = set(nodes)
-        edges = set()
-        for e in self.edges:
+        pairs = set()
+        for e in edges:
             a, b = e
             if a == b:
                 raise ValueError(f"self-pair not allowed: {e}")
             if a not in node_set or b not in node_set:
                 raise ValueError(f"edge {e} has an endpoint outside the node set")
-            edges.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(edges))
+            pairs.add((a, b) if a < b else (b, a))
         adj: dict[int, list[int]] = {v: [] for v in nodes}
-        for a, b in sorted(edges):
+        for a, b in sorted(pairs):
             adj[a].append(b)
             adj[b].append(a)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", frozenset(pairs))
         object.__setattr__(self, "_adj", {v: tuple(sorted(ws)) for v, ws in adj.items()})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(nodes={self.nodes!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nodes, self.edges) == (other.nodes, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
 
     @classmethod
     def from_edges(

@@ -17,7 +17,6 @@ fallback on a subclass with its own integer stream, a run whose links all
 vanish, and an influence update that erases a link whose reverse stays.
 """
 
-import dataclasses
 import io
 import itertools
 import json
@@ -92,7 +91,7 @@ def run_both(run, run_ref, state0, params, case, max_steps, log):
     got = run(state0, params, case, max_steps, streamed.append)
     assert got.events is None
     return (
-        dataclasses.replace(got, events=tuple(streamed)),
+        got._replace(events=tuple(streamed)),
         run_ref(state0, params, case, max_steps, True),
     )
 
@@ -132,7 +131,7 @@ def test_stream_log_writes_the_lines_of_the_collected_events(engine):
         sink = io.StringIO()
         record = run(state0, params, case, max_steps, log=sink)
         assert record.events is None
-        assert dataclasses.replace(record, events=collected.events) == collected, case
+        assert record._replace(events=collected.events) == collected, case
         assert sink.getvalue() == "".join(e.to_json_line() for e in collected.events), case
         with_k += any(e.k is not None for e in collected.events)
         without_k += any(e.k is None for e in collected.events)
@@ -165,7 +164,7 @@ def check_blocked_writes(run, state0, params, seed, max_steps):
     collected = run(state0, params, seed, max_steps, log=True)
     sink = WriteRecorder()
     record = run(state0, params, seed, max_steps, log=sink)
-    assert dataclasses.replace(record, events=collected.events) == collected
+    assert record._replace(events=collected.events) == collected
     assert "".join(sink.calls) == "".join(e.to_json_line() for e in collected.events)
     counts = [text.count("\n") for text in sink.calls]
     assert all(text.endswith("\n") for text in sink.calls)
