@@ -3,7 +3,9 @@
 The package splits into five layers:
 
 * :mod:`balance_lab.graphs` -- appraisal matrices, undirected skeletons,
-  induced/ego subgraphs, and the plain-text edge-list format.
+  induced/ego subgraphs, and the plain-text edge-list format.  Matrices
+  and skeletons both keep per-node link bit masks, in sorted-id order,
+  which every graph walk reads.
 * :mod:`balance_lab.balance` -- static balance checkers (triad-wise,
   two-faction, cycle positivity, ego-network balance).
 * :mod:`balance_lab.chordal` -- chords, chordality, one polygon-triangulation

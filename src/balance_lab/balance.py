@@ -212,26 +212,28 @@ def cycle_sign(x: AppraisalMatrix, cycle: Cycle) -> int:
 
 def _iter_simple_cycles(g: UndirectedSkeleton, max_len: int | None):
     # Each cycle is emitted exactly once: rooted at its smallest node, with
-    # the smaller neighbor second (kills the reflected traversal).
-    for s in g.nodes:
-        path = [s]
-        on_path = {s}
-
-        def extend(v: int):
-            for w in g.neighbors(v):
-                if w == s and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        yield tuple(path)
-                elif w > s and w not in on_path:
-                    if max_len is not None and len(path) >= max_len:
-                        continue
-                    path.append(w)
-                    on_path.add(w)
-                    yield from extend(w)
-                    path.pop()
-                    on_path.remove(w)
-
-        yield from extend(s)
+    # the smaller neighbour second (kills the reflected traversal).  One
+    # explicit-stack walk per root over the skeleton's position masks:
+    # ``untried[k]`` holds the positions still to try after ``path[k]``.
+    nodes, masks = g.nodes, g._masks
+    limit = len(nodes) if max_len is None else max_len
+    for s in range(len(nodes)):
+        above = -1 << s + 1
+        path, on_path, untried = [s], 1 << s, [masks[s] & above]
+        while untried:
+            left = untried[-1]
+            if not left:
+                untried.pop()
+                on_path ^= 1 << path.pop()
+                continue
+            low = left & -left
+            untried[-1] = left ^ low
+            w = low.bit_length() - 1
+            path.append(w)
+            on_path |= low
+            if len(path) >= 3 and masks[w] >> s & 1 and path[1] < w:
+                yield tuple(map(nodes.__getitem__, path))
+            untried.append(masks[w] & above & ~on_path if len(path) < limit else 0)
 
 
 def enumerate_simple_cycles(

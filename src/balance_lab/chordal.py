@@ -29,7 +29,14 @@ from .balance import (
     detect_two_faction,
     enumerate_simple_cycles,
 )
-from .graphs import AppraisalMatrix, UndirectedSkeleton, _checked_replace, _triangle_walk
+from .graphs import (
+    AppraisalMatrix,
+    UndirectedSkeleton,
+    _checked_replace,
+    _linked_pairs,
+    _positions,
+    _triangle_walk,
+)
 
 EXHAUSTIVE_EDGE_LIMIT = 14
 
@@ -38,9 +45,8 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _cycle_edges(cycle: Cycle) -> set[tuple[int, int]]:
-    m = len(cycle)
-    return {_pair(cycle[p], cycle[(p + 1) % m]) for p in range(m)}
+def _cycle_edges(cycle: Cycle) -> frozenset[tuple[int, int]]:
+    return frozenset(_pair(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def _validate_cycle(g: UndirectedSkeleton, cycle: Cycle) -> None:
@@ -48,13 +54,10 @@ def _validate_cycle(g: UndirectedSkeleton, cycle: Cycle) -> None:
         raise ValueError("cycle must have at least three nodes")
     if len(set(cycle)) != len(cycle):
         raise ValueError("cycle nodes must be distinct")
-    node_set = set(g.nodes)
     for v in cycle:
-        if v not in node_set:
+        if v not in g._pos:
             raise ValueError(f"cycle node {v} not in graph")
-    m = len(cycle)
-    for p in range(m):
-        a, b = cycle[p], cycle[(p + 1) % m]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if not g.has_edge(a, b):
             raise ValueError(f"cycle edge {{{a}, {b}}} missing from graph")
 
@@ -63,15 +66,9 @@ def find_chords(g: UndirectedSkeleton, cycle: Cycle) -> list[tuple[int, int]]:
     """Edges of ``g`` joining two non-consecutive nodes of ``cycle``."""
     _validate_cycle(g, cycle)
     m = len(cycle)
-    chords = []
-    for p in range(m):
-        for q in range(p + 2, m):
-            if p == 0 and q == m - 1:
-                continue
-            e = _pair(cycle[p], cycle[q])
-            if e in g.edges:
-                chords.append(e)
-    return sorted(chords)
+    # Every non-consecutive position pair p < q; for p = 0 that excludes q = m - 1.
+    pairs = (_pair(cycle[p], cycle[q]) for p in range(m) for q in range(p + 2, m - (p == 0)))
+    return sorted(e for e in pairs if e in g.edges)
 
 
 def split_by_chord(cycle: Cycle, chord: tuple[int, int]) -> tuple[Cycle, Cycle]:
@@ -93,37 +90,28 @@ def split_by_chord(cycle: Cycle, chord: tuple[int, int]) -> tuple[Cycle, Cycle]:
 
 
 def is_chordal(g: UndirectedSkeleton) -> bool:
-    """Chordality via maximum-cardinality search.
+    """Chordality via maximum-cardinality search (Tarjan & Yannakakis 1984).
 
-    MCS visits the node with the most visited neighbors first; the reverse
-    visit order is a perfect elimination ordering iff the graph is chordal,
-    checked by requiring each node's later neighbors minus the closest one
-    to be adjacent to that closest one.  Graphs without cycles longer than
-    three (trees, single triangles) pass vacuously.
+    MCS visits the node with the most visited neighbors first, the lowest
+    on ties; the reverse visit order is a perfect elimination ordering iff
+    the graph is chordal.  That is checked as each node is visited, by one
+    mask test: its visited neighbors, but for the last one visited, must
+    be neighbors of that one.  Trees and single triangles pass vacuously.
     """
-    if g.n <= 2:
-        return True
-    weight = {v: 0 for v in g.nodes}
-    unvisited = set(g.nodes)
-    visit_order: list[int] = []
-    while unvisited:
-        v = min(unvisited, key=lambda u: (-weight[u], u))
-        unvisited.remove(v)
-        visit_order.append(v)
-        for w in g.neighbors(v):
-            if w in unvisited:
-                weight[w] += 1
-    peo = list(reversed(visit_order))
-    pos = {v: idx for idx, v in enumerate(peo)}
-    neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes}
-    for v in peo:
-        later = [w for w in neighbor_sets[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=pos.__getitem__)
-        for w in later:
-            if w != u and w not in neighbor_sets[u]:
-                return False
+    masks = g._masks
+    weight = [0] * g.n  # visited neighbours of each unvisited position; -1 once visited
+    latest = [0] * g.n  # the last visited of those neighbours
+    visited = 0
+    for _ in range(g.n):
+        v = weight.index(max(weight))
+        weight[v] = -1
+        u, prior = latest[v], masks[v] & visited
+        if prior and prior & ~masks[u] != 1 << u:
+            return False
+        visited |= 1 << v
+        for w in _positions(masks[v] & ~visited):
+            weight[w] += 1
+            latest[w] = v
     return True
 
 
@@ -158,13 +146,10 @@ class SubchordalWitness(namedtuple("SubchordalWitness", "cycle extra_edges")):
 
     @property
     def all_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_cycle_edges(self.cycle)) | self.extra_edges
+        return _cycle_edges(self.cycle) | self.extra_edges
 
     def graph(self) -> UndirectedSkeleton:
-        return UndirectedSkeleton(
-            tuple(sorted(set(self.cycle))),
-            frozenset(_cycle_edges(self.cycle)) | self.extra_edges,
-        )
+        return UndirectedSkeleton(self.cycle, self.all_edges)
 
 
 class TriangulationFan(namedtuple("TriangulationFan", "triads")):
@@ -364,26 +349,20 @@ def check_equivalence_conditions(
 
 def _triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
     # Every triangle once, as sorted nodes in lexicographic order.
-    nodes = g.nodes
-    pos = dict(zip(nodes, range(len(nodes))))
-    adj = [0] * len(nodes)
-    for u, v in g.edges:
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
-    return [(nodes[a], nodes[b], nodes[c]) for a, b, c in _triangle_walk(adj)]
+    return [tuple(map(g.nodes.__getitem__, t)) for t in _triangle_walk(g._masks)]
 
 
-def _fundamental_cycles(g: UndirectedSkeleton, index: dict[tuple[int, int], int]) -> list[int]:
+def _fundamental_cycles(masks: tuple[int, ...], index: dict[tuple[int, int], int]) -> list[int]:
     # Edge bit vectors of the fundamental cycles of a spanning forest, one
     # per non-forest edge: m - n + c of them, a basis of the cycle space.
-    path: dict[int, int] = {}  # node -> edge bits of its forest path to its root
-    for root in g.nodes:
+    path: dict[int, int] = {}  # position -> edge bits of its forest path to its root
+    for root in range(len(masks)):
         if root in path:
             continue
         path[root] = 0
         reached = [root]
         for u in reached:
-            for v in g.neighbors(u):
+            for v in _positions(masks[u]):
                 if v not in path:
                     path[v] = path[u] | 1 << index[_pair(u, v)]
                     reached.append(v)
@@ -392,13 +371,12 @@ def _fundamental_cycles(g: UndirectedSkeleton, index: dict[tuple[int, int], int]
 
 
 def _signed(
-    g: UndirectedSkeleton, edges: list[tuple[int, int]], negative: list[int]
+    g: UndirectedSkeleton, pairs: list[tuple[int, int]], negative: list[int]
 ) -> AppraisalMatrix:
-    # Sign-symmetric matrix on g: edges[t] is -1 where negative[t] is truthy, else +1.
-    pos = {v: a for a, v in enumerate(g.nodes)}
+    # Sign-symmetric matrix on g: position pair pairs[t] is -1 where negative[t] is truthy, else +1.
     rows = [[0] * g.n for _ in range(g.n)]
-    for (u, v), neg in zip(edges, negative):
-        rows[pos[u]][pos[v]] = rows[pos[v]][pos[u]] = -1 if neg else 1
+    for (a, b), neg in zip(pairs, negative):
+        rows[a][b] = rows[b][a] = -1 if neg else 1
     return AppraisalMatrix(tuple(tuple(r) for r in rows), g.nodes)
 
 
@@ -422,28 +400,28 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
     assignment is built, and ``detect_two_faction`` confirms it.
     Polynomial, no guard.
     """
-    edges = sorted(g.edges)
-    index = {e: t for t, e in enumerate(edges)}
+    pairs = list(_linked_pairs(g._masks))  # position pairs, in sorted(g.edges) order
+    index = {e: t for t, e in enumerate(pairs)}
     rows: dict[int, int] = {}  # pivot (highest edge index) -> reduced triangle combination
-    for a, b, c in _triangles(g):
-        v = 1 << index[_pair(a, b)] | 1 << index[_pair(a, c)] | 1 << index[_pair(b, c)]
+    for a, b, c in _triangle_walk(g._masks):
+        v = 1 << index[a, b] | 1 << index[a, c] | 1 << index[b, c]
         while v and v.bit_length() - 1 in rows:
             v ^= rows[v.bit_length() - 1]
         if v:
             rows[v.bit_length() - 1] = v
-    cycles = _fundamental_cycles(g, index)
+    cycles = _fundamental_cycles(g._masks, index)
     if len(rows) == len(cycles):
         return None
     for p in sorted(rows):
         for q in rows:
             if q > p and rows[q] >> p & 1:
                 rows[q] ^= rows[p]
-    for f in reversed(range(len(edges))):
+    for f in reversed(range(len(pairs))):
         if f in rows:
             continue
         null = 1 << f | sum(1 << p for p, row in rows.items() if row >> f & 1)
         if any((null & z).bit_count() & 1 for z in cycles):
-            x = _signed(g, edges, [null >> t & 1 for t in range(len(edges))])
+            x = _signed(g, pairs, [null >> t & 1 for t in range(len(pairs))])
             if detect_two_faction(x) is not None:
                 raise RuntimeError("internal error: an odd-parity cycle left a two-faction witness")
             return x
@@ -453,23 +431,22 @@ def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatri
 def _exhaustive_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:
     # Literal oracle: backtracks over edge signs (+ before -), pruning any branch
     # that closes a negative triangle; returns the first leaf with no witness.
-    edges = sorted(g.edges)
-    if len(edges) > EXHAUSTIVE_EDGE_LIMIT:
+    pairs = list(_linked_pairs(g._masks))  # position pairs, in sorted(g.edges) order
+    if len(pairs) > EXHAUSTIVE_EDGE_LIMIT:
         raise GuardLimitError(
-            f"exhaustive verification refused with {len(edges)} edges "
+            f"exhaustive verification refused with {len(pairs)} edges "
             f"> {EXHAUSTIVE_EDGE_LIMIT}"
         )
-    index = {e: t for t, e in enumerate(edges)}
-    closing: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for a, b, c in _triangles(g):
-        e1, e2, e3 = index[_pair(a, b)], index[_pair(a, c)], index[_pair(b, c)]
-        hi, mid, lo = sorted((e1, e2, e3), reverse=True)
-        closing[hi].append((mid, lo))
-    signs = [0] * len(edges)
+    index = {e: t for t, e in enumerate(pairs)}
+    # A triangle a < b < c closes on its last edge {b, c}, after {a, b} and {a, c}.
+    closing: list[list[tuple[int, int]]] = [[] for _ in pairs]
+    for a, b, c in _triangle_walk(g._masks):
+        closing[index[b, c]].append((index[a, c], index[a, b]))
+    signs = [0] * len(pairs)
 
     def search(t: int) -> Optional[AppraisalMatrix]:
-        if t == len(edges):
-            x = _signed(g, edges, [s < 0 for s in signs])
+        if t == len(pairs):
+            x = _signed(g, pairs, [s < 0 for s in signs])
             return x if detect_two_faction(x) is None else None
         for s in (1, -1):
             signs[t] = s

@@ -11,7 +11,9 @@ position, the bit masks of whom it appraises and of who appraises it.  A
 matrix builds them at most once and shares them with every analysis that
 reads links (the skeleton, bilaterality, triads, triad counts) and with
 the simulation kernel, which updates a list copy of the outgoing masks in
-place.
+place.  A skeleton keeps the same kind of view, built with it: one
+neighbour mask per position, positions following the sorted node ids,
+which every graph walk on it reads.
 
 All types are immutable values after construction and safe to share across
 workers.
@@ -73,6 +75,14 @@ def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[i
             into[b] |= bit
         out.append(mask)
     return tuple(out), tuple(into)
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _linked_pairs(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -284,30 +294,32 @@ class AppraisalMatrix(_Frozen):
 class UndirectedSkeleton(_Frozen):
     """Unsigned undirected graph: node ids plus a set of unordered pairs.
 
-    Immutable, compared and hashed by ``(nodes, edges)``, like
-    ``AppraisalMatrix``; not a tuple.
+    Like a matrix, it keeps a position view: ``_pos`` maps node ids to
+    positions in the sorted ``nodes``, and ``_masks[a]`` is the neighbour
+    mask of position ``a``.  Immutable, compared and hashed by ``(nodes,
+    edges)``, like ``AppraisalMatrix``; not a tuple.
     """
 
     def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]] = frozenset()):
         nodes = tuple(sorted({int(v) for v in nodes}))
         if nodes and nodes[0] < 1:
             raise ValueError("node ids must be positive integers")
-        node_set = set(nodes)
+        pos = dict(zip(nodes, range(len(nodes))))
+        masks = [0] * len(nodes)
         pairs = set()
         for e in edges:
             a, b = e
             if a == b:
                 raise ValueError(f"self-pair not allowed: {e}")
-            if a not in node_set or b not in node_set:
+            if a not in pos or b not in pos:
                 raise ValueError(f"edge {e} has an endpoint outside the node set")
             pairs.add((a, b) if a < b else (b, a))
-        adj: dict[int, list[int]] = {v: [] for v in nodes}
-        for a, b in sorted(pairs):
-            adj[a].append(b)
-            adj[b].append(a)
+            masks[pos[a]] |= 1 << pos[b]
+            masks[pos[b]] |= 1 << pos[a]
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(pairs))
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ws)) for v, ws in adj.items()})
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(nodes={self.nodes!r}, edges={self.edges!r})"
@@ -337,9 +349,10 @@ class UndirectedSkeleton(_Frozen):
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         try:
-            return self._adj[i]
+            mask = self._masks[self._pos[i]]
         except KeyError:
             raise ValueError(f"node {i} not in graph") from None
+        return tuple(map(self.nodes.__getitem__, _positions(mask)))
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -347,15 +360,13 @@ class UndirectedSkeleton(_Frozen):
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
+        masks = self._masks
+        seen, frontier = 1, [0]
         while frontier:
-            v = frontier.pop()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n
+            new = masks[frontier.pop()] & ~seen
+            seen |= new
+            frontier += _positions(new)
+        return seen == (1 << self.n) - 1
 
 
 def _skeleton_masks(x: AppraisalMatrix) -> list[int]:

@@ -204,6 +204,27 @@ def test_criterion_04_constructive_sequences():
     report(4, "500 SIH + 500 SIOH constructive sequences legal, monotone, terminating")
 
 
+def test_every_three_node_state_reaches_its_equilibrium():
+    # Every update weight is positive, so a legal constructive sequence from
+    # a state is a path of positive probability to absorption.  One from
+    # each of the 729 SIH and 5,832 SIOH states machine-checks at n=3 that
+    # absorption is reachable from every state.
+    sih = sioh = 0
+    for x0 in all_three_node_matrices():
+        record = constructive_sih_sequence(x0)
+        assert record.absorbed and is_sih_equilibrium(record.final_x)
+        replay_sih(x0, record.events)
+        sih += 1
+        for y0 in itertools.product((-1, 1), repeat=3):
+            state0 = SiohState(x0, y0)
+            record = constructive_sioh_sequence(state0)
+            assert record.absorbed
+            assert is_sioh_equilibrium(SiohState(record.final_x, record.final_y))
+            replay_sioh(state0, record.events)
+            sioh += 1
+    assert (sih, sioh) == (729, 729 * 8)
+
+
 def test_criterion_05_balance_implication_suites():
     rng = random.Random(MASTER_SEED + 5)
     fact_checked = 0

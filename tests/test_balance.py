@@ -364,6 +364,13 @@ class TestEnumerateSimpleCycles:
             enumerate_simple_cycles(big)
         assert len(enumerate_simple_cycles(big, force=True)) == 1
 
+    def test_ring_deeper_than_the_default_recursion_limit(self):
+        # The walk keeps its own stack: a 1,100-node cycle is deeper than
+        # CPython's default recursion limit of 1000 and is listed like any other.
+        ring = cycle_skeleton(1100)
+        assert enumerate_simple_cycles(ring, force=True) == [tuple(range(1, 1101))]
+        assert enumerate_simple_cycles(ring, max_len=1099, force=True) == []
+
 
 class TestAllCyclesPositive:
     def test_all_positive(self):

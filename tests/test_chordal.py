@@ -188,6 +188,59 @@ class TestIsChordal:
             assert nx.is_chordal(to_nx(g)) == expected
 
 
+class TestSparseNodeIds:
+    def test_answers_on_gapped_ids_are_the_answers_on_1_to_k_mapped_back(self):
+        # Skeletons keep positions in sorted-id order, so each answer on ids
+        # such as {2, 5, 9, 14, ...} must be the answer on the same graph
+        # relabelled 1..k, mapped back, and agree with networkx where it
+        # has the function.
+        rng = random.Random(89)
+        tally = {"connected": 0, "disconnected": 0, "chordal": 0, "counterexample": 0}
+        for _ in range(200):
+            k = rng.randrange(6, 10)
+            ids = sorted(rng.sample(range(2, 50), k))
+            back = dict(zip(range(1, k + 1), ids))
+            p = rng.uniform(0.2, 0.6)
+            pairs = [e for e in itertools.combinations(range(1, k + 1), 2) if rng.random() < p]
+            dense = UndirectedSkeleton.from_edges(k, pairs)
+            sparse = UndirectedSkeleton.from_edges(ids, [(back[a], back[b]) for a, b in pairs])
+            h = to_nx(sparse)
+
+            def mapped(nodes):
+                return tuple(back[v] for v in nodes)
+
+            def edge_lists(cycles):
+                return sorted(sorted(map(sorted, zip(c, c[1:] + c[:1]))) for c in cycles)
+
+            for v in range(1, k + 1):
+                assert sparse.neighbors(back[v]) == mapped(dense.neighbors(v))
+                assert sparse.neighbors(back[v]) == tuple(sorted(h[back[v]]))
+            connected = sparse.is_connected()
+            assert connected == dense.is_connected() == nx.is_connected(h)
+            chordal_now = is_chordal(sparse)
+            assert chordal_now == is_chordal(dense) == nx.is_chordal(h)
+            cycles = enumerate_simple_cycles(sparse)
+            assert cycles == [mapped(c) for c in enumerate_simple_cycles(dense)]
+            assert edge_lists(cycles) == edge_lists(nx.simple_cycles(h))
+            if connected:
+                ok, report = check_equivalence_conditions(sparse)
+                dense_ok, dense_report = check_equivalence_conditions(dense)
+                assert ok == dense_ok
+                assert report == [
+                    c._replace(nodes=mapped(c.nodes), cycle=c.cycle and mapped(c.cycle))
+                    for c in dense_report
+                ]
+            x, dense_x = equivalence_counterexample(sparse), equivalence_counterexample(dense)
+            assert (x is None) == (dense_x is None)
+            if x is not None:
+                assert (x.labels, x.rows) == (tuple(ids), dense_x.rows)
+                assert_separating(sparse, x)
+            tally["connected" if connected else "disconnected"] += 1
+            tally["chordal"] += chordal_now
+            tally["counterexample"] += x is not None
+        assert min(tally.values()) >= 20, tally
+
+
 class TestIsSubchordal:
     def test_graph2_pentagon_witness(self, graph2):
         witness = is_subchordal(graph2, PENTAGON)

@@ -169,6 +169,26 @@ class TestEquivalence:
         assert balance.is_triad_wise_balanced(x)[0]
         assert balance.detect_two_faction(x) is None
 
+    def test_forced_ring_deeper_than_the_default_recursion_limit(self, tmp_path, capsys):
+        # 1,100 nodes on one cycle: deeper than CPython's default recursion
+        # limit of 1000, so a recursive cycle walk would end in a traceback.
+        n = 1100
+        path = tmp_path / "ring.el"
+        path.write_text(f"n {n}\n" + "".join(f"{i} {i % n + 1} 1\n" for i in range(1, n + 1)))
+        assert main(["equivalence", "--input", str(path), "--force"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["conditions_hold"] is False
+        assert report["subgraphs"] == [
+            {
+                "nodes": list(range(1, n + 1)),
+                "certified": False,
+                "cycle": None,
+                "reason": "no covering cycle is subchordal",
+            }
+        ]
+
     def test_exhaustive_on_k6_without_edge_guard(self, tmp_path, capsys):
         path = tmp_path / "k6.el"
         links = [f"{i} {j} 1" for i in range(1, 7) for j in range(1, 7) if i != j]
