@@ -9,8 +9,9 @@ The package splits into five layers:
 * :mod:`balance_lab.balance` -- static balance checkers (triad-wise,
   two-faction, cycle positivity, ego-network balance).
 * :mod:`balance_lab.chordal` -- chords, chordality, one polygon-triangulation
-  DP behind subchordal cycles with witnesses, fan triangulation and ear
-  finding, and the equivalence certificate between the two balance notions.
+  DP, one table per cycle over the arcs its chords close, behind subchordal
+  cycles with witnesses, fan triangulation, ear finding and the equivalence
+  certificate between the two balance notions.
 * :mod:`balance_lab.dynamics` -- the SIH and SIOH gossip dynamics, their
   equilibrium tests, and deterministic constructive convergence sequences.
 * :mod:`balance_lab.experiments` -- signed Erdos-Renyi generation, conflict

@@ -4,24 +4,28 @@ A cycle is *subchordal* when some subgraph on exactly its nodes contains all
 cycle edges and is chordal; such a witness supports a fan triangulation of
 the cycle's polygon and forces the cycle sign positive in any triad-wise
 balanced assignment.  A cycle is subchordal exactly when the chords
-available in the graph contain a triangulation of its polygon.  One O(m^3)
-interval dynamic program over cycle positions finds such a triangulation;
-it decides subchordality, gives a witness's fan triangulation, and yields
-its ear (a triangle on three consecutive cycle nodes).  A skeleton
-on which every maximal cyclic subgraph admits a subchordal covering cycle
-whose chords split nicely guarantees that triad-wise and two-faction
-balance coincide for every sign assignment.  This module certifies that
-condition, and decides the equivalence itself exactly over GF(2): by one
-rank count of the triangle vectors against the cycle rank, and, when they
-differ, by the parity of null vectors against fundamental cycles; the
-exhaustive search over sign assignments on small graphs stays as its
-oracle.
+available in the graph contain a triangulation of its polygon.  One
+dynamic program finds such a triangulation, in one table per cycle over
+the arcs that the cycle's edges close: at most two arcs per chord, O(m)
+each, so O(m * chords) time, and no table at all for a cycle of more than
+three nodes with no chord.  The table decides subchordality, and for the
+certificate it also holds both sides of every chord; run on a witness's
+own chords, it gives the fan triangulation and the ear (a triangle on
+three consecutive cycle nodes).
+A skeleton on which every maximal cyclic subgraph admits a subchordal
+covering cycle whose chords split nicely guarantees that triad-wise and
+two-faction balance coincide for every sign assignment.  This module
+certifies that condition, and decides the equivalence itself exactly over
+GF(2): by one rank count of the triangle vectors against the cycle rank,
+and, when they differ, by the parity of null vectors against fundamental
+cycles; the exhaustive search over sign assignments on small graphs stays
+as its oracle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Optional
+from typing import Optional
 
 from .balance import (
     Cycle,
@@ -62,13 +66,25 @@ def _validate_cycle(g: UndirectedSkeleton, cycle: Cycle) -> None:
             raise ValueError(f"cycle edge {{{a}, {b}}} missing from graph")
 
 
+def _chord_arcs(g: UndirectedSkeleton, cycle: Cycle) -> list[tuple[int, int]]:
+    # The chords of a cycle of g, read off the neighbour masks with one
+    # intersection per node, as the arcs (p, q - p) that the chord {p, q},
+    # p < q, closes between its cycle positions (see _triangulation).
+    at = {g._pos[v]: p for p, v in enumerate(cycle)}  # graph position -> cycle position
+    on_cycle = sum(1 << u for u in at)
+    m = len(cycle)
+    return [
+        (p, q - p)
+        for u, p in at.items()
+        for q in map(at.__getitem__, _positions(g._masks[u] & on_cycle))
+        if 1 < q - p < m - 1
+    ]
+
+
 def find_chords(g: UndirectedSkeleton, cycle: Cycle) -> list[tuple[int, int]]:
     """Edges of ``g`` joining two non-consecutive nodes of ``cycle``."""
     _validate_cycle(g, cycle)
-    m = len(cycle)
-    # Every non-consecutive position pair p < q; for p = 0 that excludes q = m - 1.
-    pairs = (_pair(cycle[p], cycle[q]) for p in range(m) for q in range(p + 2, m - (p == 0)))
-    return sorted(e for e in pairs if e in g.edges)
+    return sorted(_pair(cycle[p], cycle[p + s]) for p, s in _chord_arcs(g, cycle))
 
 
 def split_by_chord(cycle: Cycle, chord: tuple[int, int]) -> tuple[Cycle, Cycle]:
@@ -158,36 +174,36 @@ class TriangulationFan(namedtuple("TriangulationFan", "triads")):
     __slots__ = ()
 
 
-def _triangulation(
-    cycle: Cycle, has_edge: Callable[[int, int], bool]
-) -> Optional[list[tuple[int, int, int]]]:
-    # Klincsek's (1980) interval DP over cycle positions: split[a][b] holds
-    # an apex k when {cycle[a], cycle[b]} is an edge and the sub-polygons
-    # a..k and k..b are single edges or triangulable.  Returns the triangles
-    # (a, k, b), a < k < b, read off the apexes from the root (0, m - 1)
-    # down, or None when the polygon has no triangulation.  O(m^3).
-    m = len(cycle)
-    split: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
+def _triangulation(m: int, arcs: list[tuple[int, int]]) -> Optional[dict[tuple[int, int], int]]:
+    # Klincsek's (1980) polygon-triangulation DP, on the arcs an edge closes.
+    # Arc (a, s) is the s + 1 nodes from cycle position a, closed by the
+    # edge {a, (a + s) % m}: each single edge (a, 1), each chord {p, p + s}
+    # on its two sides (p, s) and (p + s, m - s), and the cycle's last edge
+    # on the root (0, m - 1).  An arc of s >= 2 is triangulable when some
+    # apex t splits it into the triangulable arcs (a, t) and
+    # ((a + t) % m, s - t).  The table holds the single edges, the given
+    # chord-closed arcs, which must include every chord-closed arc inside
+    # one of them, and the root.  Filled by length, it maps each
+    # triangulable arc to its lowest apex (0 for a single edge); it is None
+    # when the root has none.  O(m) per arc.
+    apex = {(a, 1): 0 for a in range(m)}
+    for s, a in sorted((s, a) for a, s in arcs) + [(m - 1, 0)]:
+        t = next((t for t in range(1, s) if (a, t) in apex and ((a + t) % m, s - t) in apex), None)
+        if t is not None:
+            apex[a, s] = t
+    return apex if (0, m - 1) in apex else None
 
-    def solved(a: int, b: int) -> bool:
-        return b - a == 1 or split[a][b] is not None
 
-    for span in range(2, m):
-        for a in range(m - span):
-            b = a + span
-            if has_edge(cycle[a], cycle[b]):
-                split[a][b] = next(
-                    (k for k in range(a + 1, b) if solved(a, k) and solved(k, b)), None
-                )
-    if split[0][m - 1] is None:
-        return None
+def _root_triangles(apex: dict[tuple[int, int], int], m: int) -> list[tuple[int, int, int]]:
+    # The triangles (a, k, b), a < k < b, read off the apexes from the root
+    # (0, m - 1) down; no arc below the root wraps past position 0.
     triangles = []
     pending = [(0, m - 1)]
     while pending:
-        a, b = pending.pop()
-        k = split[a][b]
-        triangles.append((a, k, b))
-        pending.extend((p, q) for p, q in ((a, k), (k, b)) if q - p >= 2)
+        a, s = pending.pop()
+        t = apex[a, s]
+        triangles.append((a, a + t, a + s))
+        pending.extend(arc for arc in ((a, t), (a + t, s - t)) if arc[1] >= 2)
     return triangles
 
 
@@ -199,24 +215,35 @@ def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWit
     yields ``m - 3`` non-crossing chords: a triangulation of the polygon.
     Conversely every triangulation is chordal.  So the cycle is subchordal
     iff the polygon-triangulation DP over ``g``'s edges succeeds, and the
-    witness is that triangulation's chords.  O(m^3) time, no guard.
+    witness is that triangulation's chords.  The chords come from one scan of
+    the neighbour masks.  A cycle of more than three nodes with none is not
+    subchordal, and no table is built; otherwise one table over the arc each
+    chord closes on the root's side, O(m) each: O(m * chords), at most
+    O(m^3), time, no guard.
     """
     _validate_cycle(g, cycle)
-    triangles = _triangulation(cycle, g.has_edge)
-    if triangles is None:
+    m = len(cycle)
+    arcs = _chord_arcs(g, cycle)
+    apex = _triangulation(m, arcs) if arcs or m == 3 else None
+    if apex is None:
         return None
     # Each chord is the (a, k) or (k, b) side of exactly one triangle.
-    chords = {
-        (cycle[p], cycle[q]) for a, k, b in triangles for p, q in ((a, k), (k, b)) if q - p >= 2
+    extra = {
+        (cycle[p], cycle[q])
+        for a, k, b in _root_triangles(apex, m)
+        for p, q in ((a, k), (k, b))
+        if q - p >= 2
     }
-    return SubchordalWitness(tuple(cycle), frozenset(chords))
+    return SubchordalWitness(tuple(cycle), frozenset(extra))
 
 
 def _witness_triangles(witness: SubchordalWitness) -> list[tuple[int, int, int]]:
-    # The DP on the witness's own edges.  It always succeeds: a chordal graph
+    # The DP on the witness's own chords.  It always succeeds: a chordal graph
     # holding a Hamiltonian cycle triangulates the cycle's polygon.
-    edges = witness.all_edges
-    return _triangulation(witness.cycle, lambda a, b: _pair(a, b) in edges)
+    at = {v: p for p, v in enumerate(witness.cycle)}
+    arcs = [(min(at[a], at[b]), abs(at[a] - at[b])) for a, b in witness.extra_edges]
+    apex = _triangulation(len(at), arcs)
+    return _root_triangles(apex, len(at))
 
 
 def fan_triangulation(witness: SubchordalWitness) -> TriangulationFan:
@@ -293,16 +320,20 @@ def check_equivalence_conditions(
     in the ambient graph, at least one subchordal side after splitting.
     Both conditions must be met by the same cycle.  The report lists, per
     subgraph, the certifying cycle or the failure reason.  The condition is
-    sufficient; on every connected graph with 3 to 7 nodes it is also
-    necessary (it agrees with ``equivalence_counterexample``), and whether
-    that holds in general is open.
+    sufficient; on every connected graph with 3 to 7 nodes, and on a seeded
+    sample of connected 8-node graphs, it is also necessary (it agrees with
+    ``equivalence_counterexample``), and whether that holds in general is
+    open.
 
     One pass of cycle enumeration yields both the maximal cyclic subgraphs
     and their covering cycles, tried in ``(length, tuple)`` order; ``force``
-    overrides only that enumeration's node guard, since each subchordality
-    test is the polynomial triangulation DP of ``is_subchordal``.  Only the
-    DP's verdict is used, so no witness is built: the enumerated cycles and
-    their chord splits are valid cycles of ``g`` by construction.
+    overrides only that enumeration's node guard, since the rest is
+    polynomial.  Each covering cycle gets one chord scan of the neighbour
+    masks and, if it has a chord, one run of the triangulation DP of
+    ``is_subchordal`` over both sides of every chord: O(m) per arc.  Its
+    one table holds the cycle, at its root arc, and those sides, so no
+    split cycle is built and no witness either: enumerated cycles are
+    valid cycles of ``g`` by construction.
     """
     if not g.is_connected():
         raise ValueError("equivalence conditions are defined for connected graphs")
@@ -317,22 +348,17 @@ def check_equivalence_conditions(
             continue
         found = None
         any_subchordal = False
+        m = len(nodes)
         for cycle in covering:
-            if _triangulation(cycle, g.has_edge) is None:
-                continue
-            any_subchordal = True
-            splits_ok = True
-            for chord in find_chords(g, cycle):
-                first, second = split_by_chord(cycle, chord)
-                if (
-                    _triangulation(first, g.has_edge) is None
-                    and _triangulation(second, g.has_edge) is None
-                ):
-                    splits_ok = False
+            # A covering cycle of more than three nodes with no chord is not
+            # subchordal.  Otherwise its table holds both sides of every chord.
+            arcs = _chord_arcs(g, cycle)
+            apex = _triangulation(m, arcs + [(p + s, m - s) for p, s in arcs]) if arcs else None
+            if apex is not None:
+                any_subchordal = True
+                if all((p, s) in apex or (p + s, m - s) in apex for p, s in arcs):
+                    found = cycle
                     break
-            if splits_ok:
-                found = cycle
-                break
         if found is not None:
             report.append(SubgraphCertificate(nodes, True, found))
         else:
@@ -345,11 +371,6 @@ def check_equivalence_conditions(
             )
             report.append(SubgraphCertificate(nodes, False, None, reason))
     return ok, report
-
-
-def _triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
-    # Every triangle once, as sorted nodes in lexicographic order.
-    return [tuple(map(g.nodes.__getitem__, t)) for t in _triangle_walk(g._masks)]
 
 
 def _fundamental_cycles(masks: tuple[int, ...], index: dict[tuple[int, int], int]) -> list[int]:

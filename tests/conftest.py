@@ -267,7 +267,7 @@ def bilateral_by_pair_loop(x: AppraisalMatrix) -> bool:
 
 
 def skeleton_triangles_by_triple_loop(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
-    """Oracle for ``chordal._triangles``: node triples with all three edges."""
+    """Oracle for the triangle mask walk: node triples with all three edges."""
     nodes = g.nodes
     out = []
     for ai in range(len(nodes)):

@@ -25,7 +25,13 @@ from balance_lab.chordal import (
     verify_equivalence_exhaustive,
 )
 from balance_lab import chordal
-from balance_lab.graphs import AppraisalMatrix, UndirectedSkeleton, induced_subgraph, skeleton
+from balance_lab.graphs import (
+    AppraisalMatrix,
+    UndirectedSkeleton,
+    _triangle_walk,
+    induced_subgraph,
+    skeleton,
+)
 
 from conftest import (
     PENTAGON,
@@ -98,6 +104,95 @@ def certificate_by_definitions(g: UndirectedSkeleton):
             for chord in find_chords(g, cycle):
                 first, second = split_by_chord(cycle, chord)
                 if not subchordal_by_subsets(g, first) and not subchordal_by_subsets(g, second):
+                    splits_ok = False
+                    break
+            if splits_ok:
+                found = cycle
+                break
+        if found is not None:
+            report.append(SubgraphCertificate(nodes, True, found))
+        else:
+            ok = False
+            reason = (
+                "every subchordal covering cycle has a chord with both split "
+                "cycles non-subchordal"
+                if any_subchordal
+                else "no covering cycle is subchordal"
+            )
+            report.append(SubgraphCertificate(nodes, False, None, reason))
+    return ok, report
+
+
+def triangulation_by_intervals(cycle, has_edge):
+    """Oracle: Klincsek's (1980) interval DP over an m-by-m table of cycle positions.
+
+    ``split[a][b]`` holds the lowest apex k when {cycle[a], cycle[b]} is an
+    edge and the sub-polygons a..k and k..b are single edges or triangulable.
+    Returns the triangles (a, k, b), a < k < b, read off the apexes from the
+    root (0, m - 1) down, or None when the polygon has no triangulation.
+    """
+    m = len(cycle)
+    split = [[None] * m for _ in range(m)]
+
+    def solved(a, b):
+        return b - a == 1 or split[a][b] is not None
+
+    for span in range(2, m):
+        for a in range(m - span):
+            b = a + span
+            if has_edge(cycle[a], cycle[b]):
+                split[a][b] = next(
+                    (k for k in range(a + 1, b) if solved(a, k) and solved(k, b)), None
+                )
+    if split[0][m - 1] is None:
+        return None
+    triangles = []
+    pending = [(0, m - 1)]
+    while pending:
+        a, b = pending.pop()
+        k = split[a][b]
+        triangles.append((a, k, b))
+        pending.extend((p, q) for p, q in ((a, k), (k, b)) if q - p >= 2)
+    return triangles
+
+
+def witness_chords_by_intervals(g: UndirectedSkeleton, cycle):
+    """Oracle for the ``extra_edges`` of ``is_subchordal``'s witness: the
+    chords of the interval DP's triangulation, or None."""
+    triangles = triangulation_by_intervals(cycle, g.has_edge)
+    if triangles is None:
+        return None
+    return frozenset(
+        tuple(sorted((cycle[p], cycle[q])))
+        for a, k, b in triangles
+        for p, q in ((a, k), (k, b))
+        if q - p >= 2
+    )
+
+
+def certificate_by_split_cycles(g: UndirectedSkeleton):
+    """Oracle: the certificate with one interval DP per covering cycle and
+    two per chord, each on a cycle that ``split_by_chord`` builds."""
+    ok, report = True, []
+    for node_set, covering in chordal._maximal_cycle_groups(g, False):
+        nodes = tuple(sorted(node_set))
+        if len(nodes) <= 3:
+            report.append(
+                SubgraphCertificate(nodes, True, None, "three nodes or fewer: nothing to check")
+            )
+            continue
+        found, any_subchordal = None, False
+        for cycle in covering:
+            if triangulation_by_intervals(cycle, g.has_edge) is None:
+                continue
+            any_subchordal = True
+            splits_ok = True
+            for chord in find_chords(g, cycle):
+                first, second = split_by_chord(cycle, chord)
+                if (
+                    triangulation_by_intervals(first, g.has_edge) is None
+                    and triangulation_by_intervals(second, g.has_edge) is None
+                ):
                     splits_ok = False
                     break
             if splits_ok:
@@ -278,6 +373,27 @@ class TestIsSubchordal:
                 assert len(witness.extra_edges) == len(cycle) - 3
                 assert witness.extra_edges <= set(find_chords(g, cycle))
         assert found > 100 and missing > 30
+
+    def test_chordless_cycle_builds_no_table(self, monkeypatch):
+        # A cycle of more than three nodes with no chord is refused after the
+        # chord scan, before any triangulation table exists.
+        ring, cycle = cycle_skeleton(3000), tuple(range(1, 3001))
+
+        def refuse(m, arcs):
+            raise AssertionError(f"triangulation table built for {m} nodes")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(chordal, "_triangulation", refuse)
+            assert find_chords(ring, cycle) == []
+            assert is_subchordal(ring, cycle) is None
+            ok, report = check_equivalence_conditions(cycle_skeleton(40), force=True)
+            assert (ok, [entry.reason for entry in report]) == (
+                False,
+                ["no covering cycle is subchordal"],
+            )
+        # A triangle has no chord either, yet triangulates.
+        witness = is_subchordal(cycle_skeleton(3), (1, 2, 3))
+        assert witness is not None and witness.extra_edges == frozenset()
 
     def test_chord_guard(self):
         # No chord guard: the 27 chords of K9's 9-cycle are decided directly.
@@ -581,6 +697,52 @@ class TestEquivalenceConditions:
             certified += ok
         assert (graphs, certified) == (994, 503)
 
+    def test_conditions_decide_equivalence_on_sampled_8_node_graphs(self):
+        # A seeded sample of the 8-node candidates.  Every 8-node graph is a
+        # 7-node atlas graph plus an eighth node joined to a non-empty subset
+        # of it; 2,200 of those 1,044 * 127 candidates are drawn, and the
+        # connected ones checked.  The seed was fixed before any result was
+        # seen.  A disagreement would be a graph on which the paper's
+        # condition is strictly weaker than the truth: pin it as a fixture.
+        atlas7 = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+        rng = random.Random(887)
+        graphs = certified = 0
+        for index in rng.sample(range(len(atlas7) * 127), 2200):
+            h, joined = atlas7[index // 127], index % 127 + 1
+            g = UndirectedSkeleton.from_edges(
+                8,
+                [(a + 1, b + 1) for a, b in h.edges]
+                + [(v + 1, 8) for v in range(7) if joined >> v & 1],
+            )
+            if not g.is_connected():
+                continue
+            ok, _ = check_equivalence_conditions(g)
+            assert ok == (equivalence_counterexample(g) is None), sorted(g.edges)
+            graphs += 1
+            certified += ok
+        assert (graphs, certified) == (1982, 765)
+
+    def test_matches_interval_dp_on_split_cycles(self):
+        # One table per covering cycle against the m-by-m interval DP run on
+        # the cycle and on both split cycles of every chord: the same verdict,
+        # certifying cycles and reasons, and the same witness on every cycle.
+        # Random graphs with a cycle rank above K7's 15 are skipped; their
+        # cycles run to millions.
+        outcomes, witnesses = set(), {True: 0, False: 0}
+        for g in atlas_and_random_skeletons():
+            if not g.is_connected() or len(g.edges) - g.n + 1 > 15:
+                continue
+            ok, report = check_equivalence_conditions(g)
+            assert (ok, report) == certificate_by_split_cycles(g), sorted(g.edges)
+            outcomes.update((entry.certified, entry.reason) for entry in report)
+            for cycle in enumerate_simple_cycles(g):
+                witness = is_subchordal(g, cycle)
+                chords = None if witness is None else witness.extra_edges
+                assert chords == witness_chords_by_intervals(g, cycle), (sorted(g.edges), cycle)
+                witnesses[witness is not None] += 1
+        assert len(outcomes) == 4, outcomes
+        assert witnesses == {True: 49003, False: 15162}
+
 
 class TestExhaustiveVerification:
     def test_triangle_equivalence_holds(self):
@@ -651,6 +813,12 @@ def triangles(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
     ]
 
 
+def triangles_by_mask_walk(g: UndirectedSkeleton) -> list[tuple[int, int, int]]:
+    """Every triangle once, as sorted nodes in lexicographic order, by the
+    neighbour-mask walk that the GF(2) code reads."""
+    return [tuple(map(g.nodes.__getitem__, t)) for t in _triangle_walk(g._masks)]
+
+
 def gf2_rank(vectors) -> int:
     """Rank over GF(2) of int bit vectors, eliminating on the lowest set bit."""
     basis: dict[int, int] = {}
@@ -689,7 +857,7 @@ class TestEliminationCounterexample:
     def test_triangles_match_triple_loop_oracle(self):
         found = 0
         for g in atlas_and_random_skeletons():
-            triangles = chordal._triangles(g)
+            triangles = triangles_by_mask_walk(g)
             assert triangles == skeleton_triangles_by_triple_loop(g), sorted(g.edges)
             found += len(triangles)
         assert found > 10_000, found
