@@ -7,8 +7,12 @@ For every workload and end-to-end metric the record holds both medians, the
 relative change of the medians, the parent's quartile spread relative to
 its median, the number of pairs and, per pair in seed order, the direction
 of the change's value against the parent's (``-`` lower, ``+`` higher,
-``=`` equal).  The host and source digests the reports carry are copied
-alongside, as are the failed-op counts.  Standard library only.
+``=`` equal).  Per op class, it also holds each side's median over the runs
+of the class's unit cost in microseconds, as the reports give it in
+``rates.unit_cost_us_by_class``, and their relative change; a class is left
+out unless every run on both sides reports it.  The host and source digests
+the reports carry are copied alongside, as are the failed-op counts.
+Standard library only.
 
     python3 benchmarks/collect.py --out BENCH.json \\
         --parent PARENT/perfbench/_work/*-trace0/report.json \\
@@ -47,6 +51,23 @@ def load(paths: list[str]) -> dict[tuple[str, int], dict]:
 
 def _direction(parent: float, change: float) -> str:
     return "-" if change < parent else "+" if change > parent else "="
+
+
+def _class_costs(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per op class, each side's median unit cost (us) over the runs, and the change."""
+    by_class = [
+        [r.get("rates", {}).get("unit_cost_us_by_class", {}) for r in side] for side in zip(*pairs)
+    ]
+    common = set.intersection(*(set(costs) for side in by_class for costs in side))
+    out = {}
+    for cls in sorted(common):
+        before, after = (statistics.median(costs[cls] for costs in side) for side in by_class)
+        out[cls] = {
+            "parent_median_us": before,
+            "change_median_us": after,
+            "change_pct": 100 * (after / before - 1),
+        }
+    return out
 
 
 def collect(parent: dict, change: dict) -> dict:
@@ -91,6 +112,7 @@ def collect(parent: dict, change: dict) -> dict:
                 "change": sum(c["failed"] for _, c in pairs),
             },
             "metrics": metrics,
+            "unit_cost_us_by_class": _class_costs(pairs),
         }
     return {"workloads": workloads}
 

@@ -15,7 +15,7 @@ with an explicit ``force`` override.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
@@ -23,8 +23,8 @@ from .graphs import (
     UndirectedSkeleton,
     _checked_replace,
     _linked_pairs,
+    _positions,
     _skeleton_masks,
-    _triangle_walk,
     is_sign_symmetric,
 )
 
@@ -94,15 +94,34 @@ class FactionPartition(namedtuple("FactionPartition", "kind v1 v2")):
 
 
 def _directed_triads(
-    rows: tuple[tuple[int, ...], ...], adj: list[int]
+    x: AppraisalMatrix, adj: Sequence[int], negative: bool = False
 ) -> Iterator[tuple[int, int, int]]:
     # Directed 3-cycles as positions, over the triangles of the skeleton
-    # masks ``adj``: (a, b, c) then (a, c, b) for each a < b < c.
-    for a, b, c in _triangle_walk(adj):
-        if rows[a][b] and rows[b][c] and rows[c][a]:
-            yield a, b, c
-        if rows[a][c] and rows[c][b] and rows[b][a]:
-            yield a, c, b
+    # masks ``adj``: (a, b, c) then (a, c, b) for each a < b < c, read off
+    # one mask intersection per skeleton edge {a, b}.  With ``negative``,
+    # only those whose sign product is negative: a forward (a, b, c) whose
+    # links b->c and c->a differ in sign when a->b is +1, or agree when it
+    # is -1, and likewise for the backward (a, c, b) around b->a.
+    out, into = x._masks
+    minus, in_minus = x._signs[1], x._incoming[1]
+    for a, b in _linked_pairs(adj):
+        above = -1 << b + 1
+        forward = out[b] & into[a] & above if out[a] >> b & 1 else 0
+        backward = out[a] & into[b] & above if into[a] >> b & 1 else 0
+        if negative:
+            flip = minus[b] ^ in_minus[a]
+            forward &= ~flip if minus[a] >> b & 1 else flip
+            flip = minus[a] ^ in_minus[b]
+            backward &= ~flip if in_minus[a] >> b & 1 else flip
+        both = forward | backward
+        while both:
+            low = both & -both
+            both ^= low
+            c = low.bit_length() - 1
+            if forward & low:
+                yield a, b, c
+            if backward & low:
+                yield a, c, b
 
 
 def enumerate_triads(x: AppraisalMatrix) -> list[Cycle]:
@@ -115,9 +134,9 @@ def enumerate_triads(x: AppraisalMatrix) -> list[Cycle]:
     found by intersecting per-node link masks, so the cost grows with links
     and triangles rather than with n^3.
     """
-    rows, labels = x.rows, x.labels
+    labels = x.labels
     return [
-        (labels[a], labels[b], labels[c]) for a, b, c in _directed_triads(rows, _skeleton_masks(x))
+        (labels[a], labels[b], labels[c]) for a, b, c in _directed_triads(x, _skeleton_masks(x))
     ]
 
 
@@ -129,35 +148,38 @@ def is_triad_wise_balanced(
     A pair {i, j} violates when some direction is nonzero but the product
     X_ij * X_ji is not positive.  A directed triad violates when its sign
     product is negative.  Pairs come first, in label order, then triads in
-    ``enumerate_triads`` order; both are read positionally off the
-    matrix's shared link masks, so the cost grows with links and triangles.
+    ``enumerate_triads`` order; both are read off the matrix's sign masks,
+    a pair as a skeleton edge outside the mask of same-signed both-way
+    links, so the cost grows with links and triangles.
     """
-    rows = x.rows
     labels = x.labels
     adj = _skeleton_masks(x)
+    (plus, minus), (in_plus, in_minus) = x._signs, x._incoming
+    asymmetric = [
+        linked & ~(p & ip | m & im)
+        for linked, p, m, ip, im in zip(adj, plus, minus, in_plus, in_minus)
+    ]
     make = BalanceViolation._make
     violations = [
-        make((ASYMMETRIC_PAIR, (labels[a], labels[b])))
-        for a, b in _linked_pairs(adj)
-        if rows[a][b] * rows[b][a] <= 0
+        make((ASYMMETRIC_PAIR, (labels[a], labels[b]))) for a, b in _linked_pairs(asymmetric)
     ]
     violations += [
         make((NEGATIVE_TRIAD, (labels[a], labels[b], labels[c])))
-        for a, b, c in _directed_triads(rows, adj)
-        if rows[a][b] * rows[b][c] * rows[c][a] < 0
+        for a, b, c in _directed_triads(x, adj, negative=True)
     ]
     return (not violations, violations)
 
 
 def _partition_respects_signs(x: AppraisalMatrix, part: FactionPartition) -> bool:
-    # Direct scan of the two-faction definition: X_ij >= 0 inside a faction,
-    # X_ij <= 0 across, for every ordered pair.  With side +1 for v1 and -1
-    # for v2, that is X_ij * side_i * side_j >= 0; the sides are looked up
-    # once per node, and the diagonal is zero.
-    sides = [1 - 2 * part.side_of(i) for i in x.labels]
-    flipped = [-s for s in sides]
-    for side, row in zip(sides, x.rows):
-        if min(map(mul, row, sides if side > 0 else flipped)) < 0:
+    # The two-faction definition, link by link: X_ij >= 0 inside a faction,
+    # X_ij <= 0 across.  With ``v1`` and ``v2`` as position masks, no +1
+    # link of a node may reach the other faction and no -1 link its own.
+    # Each node's side is looked up once, so an uncovered node raises.
+    v1 = sum(1 << a for a, i in enumerate(x.labels) if part.side_of(i) == 0)
+    v2 = (1 << x.n) - 1 ^ v1
+    for a, (plus, minus) in enumerate(zip(*x._signs)):
+        own, other = (v1, v2) if v1 >> a & 1 else (v2, v1)
+        if plus & other or minus & own:
             return False
     return True
 
@@ -171,19 +193,18 @@ def detect_two_faction(x: AppraisalMatrix) -> Optional[FactionPartition]:
     cycle-enumeration guard.  The witness is read off the colouring: ``v1``
     holds the first position of each link component and every node coloured
     like it, so an isolated node lands in ``v1``.  The partition is
-    re-verified against the definition, pair by pair, before it is returned.
+    re-verified against the definition, link by link, before it is returned.
     """
-    rows = x.rows
     labels = x.labels
     if not x.negative_count():
         return FactionPartition(NO_NEGATIVE_LINKS, frozenset(labels))
-    colour = _two_faction_colouring(rows, range(x.n))
+    colour = _two_faction_colouring(*_sign_neighbours(x), (1 << x.n) - 1)
     if colour is None:
         return None
     part = FactionPartition(
         TWO_FACTION,
-        frozenset(label for label, c in zip(labels, colour) if c > 0),
-        frozenset(label for label, c in zip(labels, colour) if c < 0),
+        frozenset(map(labels.__getitem__, _positions(colour[0]))),
+        frozenset(map(labels.__getitem__, _positions(colour[1]))),
     )
     if not _partition_respects_signs(x, part):
         raise RuntimeError("internal error: sign-parity colouring produced an invalid partition")
@@ -259,68 +280,71 @@ def all_cycles_positive(x: AppraisalMatrix) -> bool:
     well-defined; refuses anything else rather than guessing a
     symmetrization.  By Harary's theorem (1953) every cycle of a
     sign-symmetric network is positive exactly when it splits into two
-    factions, so this is ``detect_two_faction`` in O(n^2) with no guard.
+    factions, so this is ``detect_two_faction``, by links, with no guard.
     """
     if not is_sign_symmetric(x):
         raise ValueError("cycle positivity requires a sign-symmetric matrix")
     return detect_two_faction(x) is not None
 
 
+def _sign_neighbours(x: AppraisalMatrix) -> tuple[list[int], list[int]]:
+    """Per position, the masks of its friends and its enemies, linked either way at +1 or -1."""
+    (plus, minus), (in_plus, in_minus) = x._signs, x._incoming
+    return list(map(or_, plus, in_plus)), list(map(or_, minus, in_minus))
+
+
 def _two_faction_colouring(
-    rows: tuple[tuple[int, ...], ...], members: Sequence[int]
-) -> Optional[list[int]]:
-    """A two-faction colouring of the positions ``members`` of ``rows``, or None.
+    friends: Sequence[int], enemies: Sequence[int], members: int
+) -> Optional[tuple[int, int]]:
+    """A two-faction colouring of the positions in the mask ``members``, or None.
 
-    The colouring holds +1 or -1 at each member position and 0 at every
-    other position; None means the members split into no two factions.  It
-    is a sign-parity 2-colouring (Harary 1953).  Members are taken in the
-    given order: one not yet reached starts its link component at +1, and a
-    member reached over a link, in either direction, takes its neighbour's
-    colour times the link's sign (the outgoing link's when both exist).
-
-    Each member ``u``, once taken off the stack, tests its own row against
-    every member coloured so far: inside a faction no entry is negative,
-    across no entry is positive.  Every member comes off the stack, so every
-    entry is tested against the final colouring, except an entry of ``u``
-    that just coloured its target and agrees with it by construction.  A
-    colour is forced within its link component, so a failed test means no
-    colouring exists.
+    The colouring is a pair of disjoint masks, the +1 and the -1 faction,
+    that cover ``members``; None means the members split into no two
+    factions.  It is a sign-parity 2-colouring (Harary 1953) of the links
+    among the members, read off the neighbour masks of ``_sign_neighbours``.
+    The lowest member not yet reached starts its link component at +1.  Each
+    coloured member ``u``, once taken, tests its friends and enemies among
+    the members against the colouring so far, all at once: no friend in the
+    other faction and no enemy in its own.  Then it colours the rest,
+    friends like itself and enemies unlike, to be taken in turn.  Colours
+    never change, so every link ends up tested against the final colouring
+    (a member both friend and enemy lands in both factions and fails its own
+    test); a colour is forced within its link component, so a failed test
+    means no colouring exists.  O(members + their links) mask operations.
     """
-    colour = [0] * len(rows)
-    for start in members:
-        if colour[start]:
-            continue
-        colour[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            cu, row = colour[u], rows[u]
-            for v in members:
-                cv = colour[v]
-                if cv:
-                    if row[v] * cu * cv < 0:
-                        return None
-                else:
-                    link = row[v] or rows[v][u]
-                    if link:
-                        colour[v] = cu * link
-                        stack.append(v)
-    return colour
+    side = [0, 0]  # the +1 and the -1 faction
+    left = members
+    while left:
+        # ``pending`` holds the coloured members not yet taken.
+        pending = left & -left
+        side[0] |= pending
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            u = low.bit_length() - 1
+            k = 0 if side[0] & low else 1
+            own, rival = side[k], side[1 - k]
+            same, other = friends[u] & members, enemies[u] & members
+            if same & rival or other & own:
+                return None
+            pending |= (same | other) & ~(own | rival)
+            side[k], side[1 - k] = own | same, rival | other
+        left &= ~(side[0] | side[1])
+    return side[0], side[1]
 
 
 def ego_networks_two_faction(x: AppraisalMatrix) -> dict[int, bool]:
     """Each node's label mapped to whether its ego network is two-faction balanced.
 
     The verdict for node ``i`` is ``detect_two_faction(ego_network(x, i)[1])
-    is not None``, decided on ``x.rows`` directly: one sign-parity colouring
-    over ``i`` and everyone ``i`` appraises (Harary 1953), with no submatrix
-    or witness built.
+    is not None``, decided on the matrix's masks directly: one sign-parity
+    colouring over ``i`` and everyone ``i`` appraises (Harary 1953), with no
+    submatrix or witness built.
     """
-    rows = x.rows
+    friends, enemies = _sign_neighbours(x)
     return {
-        label: _two_faction_colouring(rows, [b for b, v in enumerate(rows[a]) if v or b == a])
-        is not None
-        for a, label in enumerate(x.labels)
+        label: _two_faction_colouring(friends, enemies, out | 1 << a) is not None
+        for a, (label, out) in enumerate(zip(x.labels, x._masks[0]))
     }
 
 

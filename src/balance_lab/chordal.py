@@ -136,7 +136,9 @@ class SubchordalWitness(namedtuple("SubchordalWitness", "cycle extra_edges")):
 
     An immutable tuple: the constructor stores the cycle as a tuple and the
     extra edges as pairs ``(a, b)`` with ``a < b``, and refuses a witness
-    that is not chordal.
+    that is not chordal.  ``is_subchordal``, whose witnesses are
+    triangulations and so chordal, builds them through the unchecked
+    ``SubchordalWitness._make``.
     """
 
     __slots__ = ()
@@ -227,14 +229,16 @@ def is_subchordal(g: UndirectedSkeleton, cycle: Cycle) -> Optional[SubchordalWit
     apex = _triangulation(m, arcs) if arcs or m == 3 else None
     if apex is None:
         return None
-    # Each chord is the (a, k) or (k, b) side of exactly one triangle.
-    extra = {
-        (cycle[p], cycle[q])
+    # Each chord is the (a, k) or (k, b) side of exactly one triangle.  A
+    # triangulation is chordal by construction, so the witness skips the
+    # constructor's check, with its pairs ordered as the constructor orders them.
+    extra = frozenset(
+        _pair(cycle[p], cycle[q])
         for a, k, b in _root_triangles(apex, m)
         for p, q in ((a, k), (k, b))
         if q - p >= 2
-    }
-    return SubchordalWitness(tuple(cycle), frozenset(extra))
+    )
+    return SubchordalWitness._make((tuple(cycle), extra))
 
 
 def _witness_triangles(witness: SubchordalWitness) -> list[tuple[int, int, int]]:
@@ -395,10 +399,12 @@ def _signed(
     g: UndirectedSkeleton, pairs: list[tuple[int, int]], negative: list[int]
 ) -> AppraisalMatrix:
     # Sign-symmetric matrix on g: position pair pairs[t] is -1 where negative[t] is truthy, else +1.
-    rows = [[0] * g.n for _ in range(g.n)]
+    plus, minus = [0] * g.n, [0] * g.n
     for (a, b), neg in zip(pairs, negative):
-        rows[a][b] = rows[b][a] = -1 if neg else 1
-    return AppraisalMatrix(tuple(tuple(r) for r in rows), g.nodes)
+        masks = minus if neg else plus
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return AppraisalMatrix._make(g.nodes, _signs=(tuple(plus), tuple(minus)))
 
 
 def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:

@@ -221,7 +221,8 @@ def _row_lists(x: AppraisalMatrix) -> list[list[int]]:
 
 
 def _freeze(rows: list[list[int]], labels: tuple[int, ...]) -> AppraisalMatrix:
-    return AppraisalMatrix(tuple(tuple(r) for r in rows), labels)
+    # Every update writes -1, 0 or 1 off the diagonal, so the rows need no check.
+    return AppraisalMatrix._make(labels, rows=tuple(map(tuple, rows)))
 
 
 def _bad_tris_through(pos: list[int], neg: list[int], a: int, b: int, v: int) -> int:
@@ -245,8 +246,9 @@ class _Kernel:
     """Mutable SIH/SIOH state: dense rows, bitset views, violation counts.
 
     Built from an AppraisalMatrix ``x`` and, for SIOH, its opinions ``y``
-    (None for SIH); it copies both and keeps ``x.labels``.  ``rows`` stays
-    the dense storage.  Beside it, per node ``a``, ``nz[a]`` has bit ``b``
+    (None for SIH); it copies both and keeps ``x.labels``.  ``rows`` is a
+    dense list copy of the matrix's ``rows`` view, which the kernel updates
+    and draws from.  Beside it, per node ``a``, ``nz[a]`` has bit ``b``
     set when ``rows[a][b]`` is nonzero, and ``pos[a]`` and ``neg[a]`` have
     bit ``b`` set when the upper-triangle entry of the pair {a, b} is +1 or
     -1.  For SIOH, ``y`` holds the opinions and ``up`` has bit ``a`` set

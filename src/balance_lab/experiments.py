@@ -18,12 +18,19 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from functools import reduce
-from operator import add
+from operator import add, xor
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .dynamics import DEFAULT_MAX_STEPS, SihParams, run_sih
-from .graphs import AppraisalMatrix, _check_node_count, _checked_replace, _linked_pairs
+from .graphs import (
+    AppraisalMatrix,
+    _check_node_count,
+    _checked_replace,
+    _default_labels,
+    _linked_pairs,
+    _positions,
+)
 from .rng import derive_seed, stream
 
 # Sub-stream tags within one trial.
@@ -80,16 +87,20 @@ def gen_er_signed(params: ErParams, seed: int) -> AppraisalMatrix:
     """
     rng = stream(seed)
     n = params.n
-    rows = [[0] * n for _ in range(n)]
+    out = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < params.p:
-                rows[i][j] = rows[j][i] = 1
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    # One draw per link, row by row and column by column, as a dense scan makes them.
+    minus = [0] * n
     for i in range(n):
-        for j in range(n):
-            if rows[i][j] and rng.random() < params.p_neg:
-                rows[i][j] = -1
-    return AppraisalMatrix(tuple(tuple(r) for r in rows))
+        for j in _positions(out[i]):
+            if rng.random() < params.p_neg:
+                minus[i] |= 1 << j
+    plus = tuple(map(xor, out, minus))
+    return AppraisalMatrix._make(_default_labels(n), _signs=(plus, tuple(minus)))
 
 
 def conflict_ratio(x: AppraisalMatrix) -> Optional[float]:

@@ -6,12 +6,11 @@ self-appraisal).  Node ids are 1-based externally; induced subgraphs are
 contiguously re-indexed internally but carry the original ids in ``labels``
 so worked examples keep their node names.
 
-``_link_masks`` is the one place where rows become link structure: per
-position, the bit masks of whom it appraises and of who appraises it.  A
-matrix builds them at most once and shares them with every analysis that
-reads links (the skeleton, bilaterality, triads, triad counts) and with
-the simulation kernel, which updates a list copy of the outgoing masks in
-place.  A skeleton keeps the same kind of view, built with it: one
+A matrix keeps its links as per-position sign masks, which the edge-list
+parser writes straight from its tokens.  ``_link_masks`` is the one place
+where they are transposed into the masks of who appraises each position.
+A matrix builds each view at most once, on first use, and shares it with
+every analysis and with the simulation kernel.  A skeleton keeps one
 neighbour mask per position, positions following the sorted node ids,
 which every graph walk on it reads.
 
@@ -22,16 +21,17 @@ workers.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import add, eq, mul
+from itertools import chain, compress
+from operator import eq, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 
 # Largest node count an edge-list header, a ``--n`` flag, ``AppraisalMatrix.zeros``,
-# ``AppraisalMatrix.from_edge_list`` or ``ErParams`` may ask for.  Every matrix
-# is a dense n-by-n grid: parsing an edge list at this ceiling peaks at about
-# 280 MB, and the peak grows with n squared.
+# ``AppraisalMatrix.from_edge_list`` or ``ErParams`` may ask for.  Parsing and
+# ``analyze`` read sign masks and grow with links: a 4096-node file with 12,000
+# links peaks at about 31 MB.  ``simulate`` copies the dense ``rows`` view, which
+# grows with n squared: about 415 MB on that file.
 NODE_LIMIT = 4096
 
 _TERNARY = frozenset((-1, 0, 1))
@@ -60,21 +60,32 @@ def _check_node_count(n: int) -> None:
         raise ValueError(f"node count {n} exceeds the ceiling of {NODE_LIMIT}")
 
 
-def _link_masks(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per position ``a``, the bit masks of whom ``a`` appraises and of who appraises ``a``.
+def _link_masks(*signs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The transposes of the sign masks: per position, who appraises it at +1 and at -1."""
+    transposed = []
+    for masks in signs:
+        into = [0] * len(masks)
+        for a, mask in enumerate(masks):
+            bit = 1 << a
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                into[low.bit_length() - 1] |= bit
+        transposed.append(tuple(into))
+    return tuple(transposed)
 
-    One pass over the links: ``compress`` skips the zero entries of a row.
-    The masks come as tuples, so a matrix can share them without a copy.
-    """
-    positions = range(len(rows))
-    out, into = [], [0] * len(rows)
-    for a, row in enumerate(rows):
-        bit, mask = 1 << a, 0
-        for b in compress(positions, row):
-            mask |= 1 << b
-            into[b] |= bit
-        out.append(mask)
-    return tuple(out), tuple(into)
+
+def _masks_of_links(
+    n: int, links: Iterable[tuple[int, int, int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sign masks of checked ``(i, j, sign)`` links on nodes ``1..n``."""
+    plus, minus = [0] * n, [0] * n
+    for i, j, s in links:
+        if s > 0:
+            plus[i - 1] |= 1 << j - 1
+        else:
+            minus[i - 1] |= 1 << j - 1
+    return tuple(plus), tuple(minus)
 
 
 def _positions(mask: int) -> Iterator[int]:
@@ -162,19 +173,20 @@ class _Frozen:
 class AppraisalMatrix(_Frozen):
     """Square ternary matrix of interpersonal appraisals with zero diagonal.
 
-    ``rows`` is positional storage; ``labels[a]`` is the external id of
-    row/column ``a``.  Labels are strictly increasing positive integers, by
-    default ``1..n``.  Storage is dense, but the static analyses read it
-    row by row into per-node link masks, built on first use and kept as
-    tuples in the private ``_masks``, which equality, hashing and ``repr``
-    ignore.  So the static analyses cost by links and triangles, and one
-    matrix is read into masks at most once.
-    Construction checks every entry with C-level row operations.  It
-    converts entries with ``int`` unless one type scan finds ``rows``
-    already a tuple of tuples of exact ints, as every constructor in the
-    library builds it.  Immutable, compared and hashed by ``(rows,
-    labels)``, and equal only to another ``AppraisalMatrix``; not a tuple,
-    so ``len`` of a matrix is an error rather than 2.
+    ``labels[a]`` is the external id of position ``a``: strictly increasing
+    positive integers, by default ``1..n``.  The links are kept as sign
+    masks, ``_signs = (plus, minus)``: bit ``b`` of ``plus[a]`` (``minus[a]``)
+    is set when ``a`` appraises ``b`` at +1 (-1).  The incoming masks
+    (``_incoming``) and the either-sign view (``_masks``) are built from them
+    on first use, so the static analyses cost by links and triangles.
+    ``rows``, the dense tuple of row tuples, is a view too: a matrix built
+    from rows keeps them and reads its masks off them on first use, and one
+    built from links builds ``rows`` only when asked.
+    Construction from rows checks every entry with C-level row operations.
+    It converts entries with ``int`` unless one type scan finds ``rows``
+    already a tuple of tuples of exact ints.  Immutable, compared and hashed
+    by ``(_signs, labels)``, and equal only to another ``AppraisalMatrix``;
+    not a tuple, so ``len`` of a matrix is an error rather than 2.
     """
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] = ()):
@@ -200,29 +212,70 @@ class AppraisalMatrix(_Frozen):
             if not _TERNARY.issuperset(row):
                 v = next(v for v in row if v not in _TERNARY)
                 raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_pos", dict(zip(labels, range(n))))
+        vars(self).update(rows=rows, labels=labels)
+
+    @classmethod
+    def _make(cls, labels: tuple[int, ...], **view) -> "AppraisalMatrix":
+        # Unchecked: ``view`` is ``rows=`` or ``_signs=``, valid for ``labels``.
+        self = object.__new__(cls)
+        vars(self).update(view, labels=labels)
+        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(rows={self.rows!r}, labels={self.labels!r})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.rows, self.labels) == (other.rows, other.labels)
+            return (self._signs, self.labels) == (other._signs, other.labels)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.labels))
+        return hash((self._signs, self.labels))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        n, grid = self.n, []
+        for plus, minus in zip(*self._signs):
+            row, both = [0] * n, plus | minus
+            while both:
+                low = both & -both
+                both ^= low
+                row[low.bit_length() - 1] = -1 if minus & low else 1
+            grid.append(tuple(row))
+        return tuple(grid)
+
+    @cached_property
+    def _signs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # One pass over the links of each row: ``compress`` skips the zeros.
+        positions, plus, minus = range(self.n), [], []
+        for row in self.rows:
+            p = m = 0
+            for b in compress(positions, row):
+                if row[b] > 0:
+                    p |= 1 << b
+                else:
+                    m |= 1 << b
+            plus.append(p)
+            minus.append(m)
+        return tuple(plus), tuple(minus)
+
+    @cached_property
+    def _incoming(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _link_masks(*self._signs)
 
     @cached_property
     def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # (out, into) of ``_link_masks``, shared by every analysis of this matrix.
-        return _link_masks(self.rows)
+        # Per position, whom it appraises and who appraises it, either sign.
+        (plus, minus), (in_plus, in_minus) = self._signs, self._incoming
+        return tuple(map(or_, plus, minus)), tuple(map(or_, in_plus, in_minus))
+
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        return dict(zip(self.labels, range(self.n)))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -231,7 +284,7 @@ class AppraisalMatrix(_Frozen):
     @classmethod
     def zeros(cls, n: int) -> "AppraisalMatrix":
         _check_node_count(n)
-        return cls(tuple((0,) * n for _ in range(n)))
+        return cls._make(_default_labels(n), _signs=((0,) * n, (0,) * n))
 
     @classmethod
     def from_rows(
@@ -249,12 +302,11 @@ class AppraisalMatrix(_Frozen):
         silent overwrites hide fixture typos.
         """
         _check_node_count(n)
-        grid = [[0] * n for _ in range(n)]
+        entries = list(entries)
         seen: set[tuple[int, int]] = set()
         for i, j, s in entries:
             _check_link(n, i, j, s, seen)
-            grid[i - 1][j - 1] = s
-        return cls(tuple(tuple(r) for r in grid))
+        return cls._make(_default_labels(n), _signs=_masks_of_links(n, entries))
 
     def index_of(self, node: int) -> int:
         """Positional index of an external node id."""
@@ -265,7 +317,9 @@ class AppraisalMatrix(_Frozen):
 
     def entry(self, i: int, j: int) -> int:
         """Appraisal of node ``i`` toward node ``j`` (external ids)."""
-        return self.rows[self.index_of(i)][self.index_of(j)]
+        a, b = self.index_of(i), self.index_of(j)
+        plus, minus = self._signs
+        return (plus[a] >> b & 1) - (minus[a] >> b & 1)
 
     def with_entry(self, i: int, j: int, value: int) -> "AppraisalMatrix":
         """A copy with one entry replaced."""
@@ -277,18 +331,31 @@ class AppraisalMatrix(_Frozen):
         return AppraisalMatrix(tuple(tuple(r) for r in rows), self.labels)
 
     def nonzero_links(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(i, j, sign)`` for every nonzero entry, in label order."""
-        for a, i in enumerate(self.labels):
-            row = self.rows[a]
-            for b, j in enumerate(self.labels):
-                if row[b]:
-                    yield (i, j, row[b])
+        """Yield ``(i, j, sign)`` for every nonzero entry, in label order.
+
+        Read off the rows when the matrix holds them, which is several times
+        faster than building masks, and off the sign masks otherwise.
+        """
+        labels = self.labels
+        rows = vars(self).get("rows")
+        if rows is not None:
+            positions = range(len(labels))
+            for i, row in zip(labels, rows):
+                for b in compress(positions, row):
+                    yield i, labels[b], row[b]
+            return
+        for i, plus, minus in zip(labels, *self._signs):
+            both = plus | minus
+            while both:
+                low = both & -both
+                both ^= low
+                yield i, labels[low.bit_length() - 1], -1 if minus & low else 1
 
     def nonzero_count(self) -> int:
-        return self.n * self.n - sum(row.count(0) for row in self.rows)
+        return sum(map(int.bit_count, chain(*self._signs)))
 
     def negative_count(self) -> int:
-        return sum(row.count(-1) for row in self.rows)
+        return sum(map(int.bit_count, self._signs[1]))
 
 
 class UndirectedSkeleton(_Frozen):
@@ -391,7 +458,7 @@ def is_bilateral(x: AppraisalMatrix) -> bool:
 
 def is_sign_symmetric(x: AppraisalMatrix) -> bool:
     """True iff the matrix equals its transpose (bilateral with matching signs)."""
-    return x.rows == tuple(zip(*x.rows))
+    return x._signs == x._incoming
 
 
 def ego_network(x: AppraisalMatrix, i: int) -> tuple[frozenset[int], AppraisalMatrix]:
@@ -400,11 +467,8 @@ def ego_network(x: AppraisalMatrix, i: int) -> tuple[frozenset[int], AppraisalMa
     The member set always contains ``i`` itself, even when ``i`` appraises
     nobody.
     """
-    a = x.index_of(i)
-    members = {i}
-    for b, j in enumerate(x.labels):
-        if x.rows[a][b]:
-            members.add(j)
+    a, (plus, minus) = x.index_of(i), x._signs
+    members = {i, *map(x.labels.__getitem__, _positions(plus[a] | minus[a]))}
     return frozenset(members), induced_subgraph(x, members)
 
 
@@ -423,8 +487,14 @@ def induced_subgraph(
             raise ValueError(f"nodes not in matrix: {sorted(missing)}")
         keep = sorted(member_set)
         idx = [g.index_of(v) for v in keep]
-        rows = tuple(tuple(g.rows[a][b] for b in idx) for a in idx)
-        return AppraisalMatrix(rows, tuple(keep))
+        # Old position -> new position, for the kept positions' links only.
+        moved = dict(zip(idx, range(len(idx))))
+        kept = sum(1 << a for a in idx)
+        plus, minus = (
+            tuple(sum(1 << moved[b] for b in _positions(masks[a] & kept)) for a in idx)
+            for masks in g._signs
+        )
+        return AppraisalMatrix._make(tuple(keep), _signs=(plus, minus))
     if isinstance(g, UndirectedSkeleton):
         missing = member_set - set(g.nodes)
         if missing:
@@ -449,27 +519,25 @@ def parse_edge_list(text: str) -> AppraisalMatrix:
     """Parse the edge-list format; errors carry 1-based line numbers.
 
     A file written the way ``format_edge_list`` writes it is checked and
-    read in bulk passes (``_bulk_rows``).  Anything else, and every
+    read in bulk passes (``_bulk_matrix``).  Anything else, and every
     malformed file, goes through the line-by-line loop (``_parse_lines``),
     the only producer of ``EdgeListError`` messages; both give the same
     matrix.
     """
     lines = text.splitlines()
-    rows = _bulk_rows(lines)
-    if rows is None:
-        return _parse_lines(lines)
-    return AppraisalMatrix(rows)
+    x = _bulk_matrix(lines)
+    return _parse_lines(lines) if x is None else x
 
 
-def _bulk_rows(lines: list[str]) -> tuple[tuple[int, ...], ...] | None:
-    """The rows of a valid, canonically spelled edge list, or None.
+def _bulk_matrix(lines: list[str]) -> AppraisalMatrix | None:
+    """The matrix of a valid, canonically spelled edge list, or None.
 
     Comments and blank lines may only precede the header; every number must
     be spelled as ``str(int)`` spells it.  The whole link list is split and
     checked at once: one token table for ``-1..n``, then ``min``, ``set``
-    and ``map`` passes for range, self-loops, signs and duplicates.  The
-    links are then written into one flat grid, which is cut into rows.
-    None means that ``_parse_lines`` must decide.
+    and ``map`` passes for range, self-loops and signs.  The links are then
+    written straight into the sign masks, and duplicates show as fewer set
+    bits than links.  None means that ``_parse_lines`` must decide.
     """
     for start, line in enumerate(lines):
         header = line.split()
@@ -501,14 +569,11 @@ def _bulk_rows(lines: list[str]) -> tuple[tuple[int, ...], ...] | None:
         min(i_s) < 1 or min(j_s) < 1 or any(map(eq, i_s, j_s)) or not _SIGNS.issuperset(s_s)
     ):
         return None
-    # Link (i, j) sits at i * n + j, which is (i - 1) * n + (j - 1) past n + 1 cells.
-    cells = list(map(add, map(mul, i_s, repeat(n)), j_s))
-    if len(set(cells)) != len(cells):
+    plus, minus = _masks_of_links(n, zip(i_s, j_s, s_s))
+    # A repeated pair sets a bit already set, in the same mask or the other one.
+    if sum(map(int.bit_count, map(or_, plus, minus))) != len(s_s):
         return None
-    grid = [0] * (n * n + n + 1)
-    for cell, s in zip(cells, s_s):
-        grid[cell] = s
-    return tuple(zip(*[islice(grid, n + 1, None)] * n))
+    return AppraisalMatrix._make(_default_labels(n), _signs=(plus, minus))
 
 
 def _parse_lines(lines: list[str]) -> AppraisalMatrix:
@@ -546,11 +611,8 @@ def _parse_lines(lines: list[str]) -> AppraisalMatrix:
         entries.append((i, j, s))
     if n is None:
         raise EdgeListError("missing 'n <count>' header")
-    # Every link passed _check_link above; only the grid is left to fill.
-    grid = [[0] * n for _ in range(n)]
-    for i, j, s in entries:
-        grid[i - 1][j - 1] = s
-    return AppraisalMatrix(tuple(map(tuple, grid)))
+    # Every link passed _check_link above; only the masks are left to fill.
+    return AppraisalMatrix._make(_default_labels(n), _signs=_masks_of_links(n, entries))
 
 
 def format_edge_list(x: AppraisalMatrix) -> str:

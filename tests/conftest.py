@@ -232,6 +232,39 @@ def triad_wise_by_triple_loop(x: AppraisalMatrix) -> tuple[bool, list[BalanceVio
     return (not violations, violations)
 
 
+def two_faction_colouring_by_row_scan(rows, members) -> Optional[list[int]]:
+    """Oracle for ``balance._two_faction_colouring``: the row-scan colouring
+    the library ran before it read sign masks.
+
+    A colouring of the positions ``members`` of ``rows`` (+1 or -1 at each
+    member, 0 elsewhere), or None.  Members are taken in the given order: one
+    not yet reached starts its link component at +1, and a member reached
+    over a link, in either direction, takes its neighbour's colour times the
+    link's sign (the outgoing link's when both exist).  Each member taken off
+    the stack tests its own row against every member coloured so far.
+    """
+    colour = [0] * len(rows)
+    for start in members:
+        if colour[start]:
+            continue
+        colour[start] = 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            cu, row = colour[u], rows[u]
+            for v in members:
+                cv = colour[v]
+                if cv:
+                    if row[v] * cu * cv < 0:
+                        return None
+                else:
+                    link = row[v] or rows[v][u]
+                    if link:
+                        colour[v] = cu * link
+                        stack.append(v)
+    return colour
+
+
 def bilateral_triads_by_triple_loop(x: AppraisalMatrix) -> int:
     """Oracle for ``count_triads``: node triples whose three pairs are all bilateral."""
     rows, n = x.rows, x.n

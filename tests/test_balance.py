@@ -40,6 +40,7 @@ from conftest import (
     triad_wise_by_triple_loop,
     triads_by_triple_loop,
     two_faction_by_union_find,
+    two_faction_colouring_by_row_scan,
     varied_matrix,
 )
 
@@ -271,7 +272,8 @@ class TestDetectTwoFaction:
     def test_a_wrong_colouring_is_caught_by_the_recheck(self, monkeypatch):
         # Everyone coloured alike puts the enemies 1 and 2 in one faction; the
         # re-check against the definition must refuse that witness.
-        monkeypatch.setattr(balance, "_two_faction_colouring", lambda rows, members: [1] * len(rows))
+        everyone_alike = lambda friends, enemies, members: (members, 0)
+        monkeypatch.setattr(balance, "_two_faction_colouring", everyone_alike)
         with pytest.raises(RuntimeError, match="invalid partition"):
             detect_two_faction(symmetric(3, [(1, 2, -1), (2, 3, 1)]))
 
@@ -459,6 +461,57 @@ class TestEgoNetworkBalance:
         assert verdicts[True] > 0
         if kind in ("independent", "opposite"):
             assert verdicts[False] > 0
+
+
+class TestColouringAgainstRowScan:
+    """The mask colouring answers as the row-scan colouring it replaced."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random("colouring-oracle")
+        for n in range(1, 14):
+            for _ in range(12):
+                yield varied_matrix(rng, rng.choice(MATRIX_KINDS))
+                yield random_symmetric_matrix(rng, n, rng.random(), rng.random())
+                planted = planted_two_faction_matrix(rng, n, rng.random())
+                yield AppraisalMatrix.from_rows(planted.rows, sorted(rng.sample(range(1, 40), n)))
+
+    def test_global_colouring_and_witness(self):
+        verdicts = {True: 0, False: 0}
+        for x in self._cases():
+            want = two_faction_colouring_by_row_scan(x.rows, range(x.n))
+            got = balance._two_faction_colouring(*balance._sign_neighbours(x), (1 << x.n) - 1)
+            if want is None:
+                assert got is None, x.rows
+            else:
+                assert got == (
+                    sum(1 << a for a, c in enumerate(want) if c > 0),
+                    sum(1 << a for a, c in enumerate(want) if c < 0),
+                ), x.rows
+            part = detect_two_faction(x)
+            if x.negative_count():
+                assert (part is None) == (want is None), x.rows
+                if part is not None:
+                    assert part.v1 == {i for i, c in zip(x.labels, want) if c > 0}
+                    assert part.v2 == {i for i, c in zip(x.labels, want) if c < 0}
+            verdicts[want is not None] += 1
+        assert min(verdicts.values()) > 100, verdicts
+
+    def test_ego_verdicts(self):
+        verdicts = {True: 0, False: 0}
+        for x in self._cases():
+            rows = x.rows
+            want = {
+                i: two_faction_colouring_by_row_scan(
+                    rows, [b for b, v in enumerate(rows[a]) if v or b == a]
+                )
+                is not None
+                for a, i in enumerate(x.labels)
+            }
+            assert ego_networks_two_faction(x) == want, rows
+            for ok in want.values():
+                verdicts[ok] += 1
+        assert min(verdicts.values()) > 100, verdicts
 
 
 class TestStructuralProperties:

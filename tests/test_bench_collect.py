@@ -12,7 +12,7 @@ collect = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(collect)
 
 
-def write_report(tmp_path, side, workload, seed, unit_cost, trace=0, failed=0):
+def write_report(tmp_path, side, workload, seed, unit_cost, trace=0, failed=0, by_class=None):
     path = tmp_path / side / f"{workload}-seed{seed}-trace{trace}" / "report.json"
     path.parent.mkdir(parents=True)
     meta = {
@@ -26,7 +26,10 @@ def write_report(tmp_path, side, workload, seed, unit_cost, trace=0, failed=0):
         "source_sha256": side * 4,
     }
     metrics = {"setup_s": 0.03, "peak_rss_mb": 30.0, "unit_cost_ref": unit_cost}
-    path.write_text(json.dumps({"meta": meta, "metrics": metrics, "failed": failed}))
+    report = {"meta": meta, "metrics": metrics, "failed": failed}
+    if by_class is not None:
+        report["rates"] = {"unit_cost_us_by_class": by_class}
+    path.write_text(json.dumps(report))
     return str(path)
 
 
@@ -59,6 +62,33 @@ def test_pairs_by_workload_and_seed(tmp_path):
     assert cost["parent_quartile_spread_pct"] == pytest.approx(50.0)
     assert (cost["unit"], cost["better"]) == ("ref", "lower")
     assert study["metrics"]["setup_s"]["directions"] == "==="
+
+
+def test_copies_per_class_medians_of_each_side(tmp_path):
+    costs = {
+        "parent": [{"analyze-n16": 100.0, "equivalence-n4": 10.0},
+                   {"analyze-n16": 120.0, "equivalence-n4": 12.0},
+                   {"analyze-n16": 110.0, "equivalence-n4": 11.0}],
+        # A class one run lacks is left out.
+        "change": [{"analyze-n16": 80.0, "equivalence-n4": 11.0},
+                   {"analyze-n16": 90.0, "equivalence-n4": 11.0},
+                   {"analyze-n16": 85.0}],
+    }
+    paths = {
+        side: [
+            write_report(tmp_path, side, "static", seed, 1.0, by_class=by_class)
+            for seed, by_class in enumerate(runs, start=1)
+        ]
+        for side, runs in costs.items()
+    }
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *paths["parent"], "--change", *paths["change"], "--out", str(out)]
+    assert collect.main(argv) == 0
+    classes = json.loads(out.read_text())["workloads"]["static"]["unit_cost_us_by_class"]
+    assert list(classes) == ["analyze-n16"]
+    entry = classes["analyze-n16"]
+    assert (entry["parent_median_us"], entry["change_median_us"]) == (110.0, 85.0)
+    assert entry["change_pct"] == pytest.approx(100 * (85 / 110 - 1))
 
 
 def test_refuses_traced_and_duplicate_runs(tmp_path):

@@ -407,6 +407,27 @@ class TestIsSubchordal:
         with pytest.raises(ValueError, match="chordal"):
             SubchordalWitness((1, 2, 3, 4, 5), frozenset())
 
+    def test_unchecked_witnesses_equal_the_checked_constructor(self):
+        # ``is_subchordal`` builds its witnesses without the chordality check:
+        # each must still be chordal and equal, field by field, what the
+        # checking constructor builds.  Graphs with a cycle rank above 10 are
+        # skipped: that still leaves over 26,000 witnesses.
+        witnesses = 0
+        for g in atlas_and_random_skeletons():
+            if len(g.edges) - g.n + 1 > 10:
+                continue
+            for cycle in enumerate_simple_cycles(g):
+                witness = is_subchordal(g, list(cycle))
+                if witness is None:
+                    continue
+                checked = SubchordalWitness(cycle, witness.extra_edges)
+                assert tuple(witness) == tuple(checked), (sorted(g.edges), cycle)
+                assert type(witness.cycle) is tuple
+                assert all(a < b for a, b in witness.extra_edges)
+                assert is_chordal(witness.graph())
+                witnesses += 1
+        assert witnesses > 10_000, witnesses
+
 
 def _assert_fan(witness):
     """m - 2 triangles on witness edges, each sorted, in sorted order; cycle

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,8 @@ from balance_lab.cli import (
     main,
 )
 from balance_lab.graphs import NODE_LIMIT, AppraisalMatrix, parse_edge_list, read_edge_list
+
+from conftest import random_matrix, random_symmetric_matrix
 
 POSITIVE_TRIANGLE = "n 3\n1 2 1\n2 1 1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
 ONE_NEGATIVE_TRIANGLE = "n 3\n1 2 -1\n2 1 -1\n1 3 1\n3 1 1\n2 3 1\n3 2 1\n"
@@ -108,9 +111,9 @@ class TestAnalyze:
         # so a second build anywhere in the request shows up.
         calls = []
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def counting(plus, minus):
+            calls.append(len(plus))
+            return real(plus, minus)
 
         real = graphs._link_masks
         for module in (graphs, balance, experiments, dynamics):
@@ -122,6 +125,33 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert (report["triad_count"], report["bilateral"]) == (1, True)
         assert calls == [3]
+
+    def test_static_requests_never_build_the_rows_view(self, tmp_path, capsys, monkeypatch):
+        # A parsed matrix keeps sign masks only; analyze (with and without
+        # --all-cycles) and equivalence must answer without the dense rows.
+        parsed = []
+
+        def reading(path):
+            parsed.append(real(path))
+            return parsed[-1]
+
+        real = cli.read_edge_list
+        monkeypatch.setattr(cli, "read_edge_list", reading)
+        rng = random.Random("no-rows-view")
+        signed = tmp_path / "signed.el"
+        signed.write_text(graphs.format_edge_list(random_matrix(rng, 12, 0.3)))
+        symmetric = tmp_path / "symmetric.el"
+        symmetric.write_text(graphs.format_edge_list(random_symmetric_matrix(rng, 12, 0.4, 0.3)))
+        for argv in (
+            ["analyze", "--input", str(signed)],
+            ["analyze", "--input", str(symmetric), "--all-cycles"],
+            ["equivalence", "--input", str(signed), "--verify-exhaustive", "--force"],
+        ):
+            assert main(argv) == EXIT_OK, argv
+            capsys.readouterr()
+        assert len(parsed) == 3
+        for x in parsed:
+            assert x.nonzero_count() > 0 and "rows" not in vars(x)
 
     def test_report_matches_library(self, triangle_file, capsys):
         # Thin-adapter check: same numbers as direct library calls.

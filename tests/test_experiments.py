@@ -24,6 +24,7 @@ from balance_lab.experiments import (
     _sum,
 )
 from balance_lab.graphs import NODE_LIMIT, AppraisalMatrix, is_bilateral
+from balance_lab.rng import stream
 
 from conftest import (
     MATRIX_KINDS,
@@ -75,6 +76,26 @@ class TestGenErSigned:
         a = gen_er_signed(ErParams(8, 0.4, 0.3), seed=9)
         b = gen_er_signed(ErParams(8, 0.4, 0.3), seed=9)
         assert a == b
+
+    def test_draws_as_the_dense_scan_does(self):
+        # The generator writes masks, but must draw from the stream exactly as
+        # the dense scan it replaced: every pair above the diagonal in row-major
+        # order, then one sign per link, row by row and column by column.
+        for seed in range(60):
+            params = ErParams(2 + seed % 11, (seed % 5) / 4, ((seed // 5) % 5) / 4)
+            rng = stream(seed)
+            n = params.n
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < params.p:
+                        rows[i][j] = rows[j][i] = 1
+            for i in range(n):
+                for j in range(n):
+                    if rows[i][j] and rng.random() < params.p_neg:
+                        rows[i][j] = -1
+            x = gen_er_signed(params, seed)
+            assert x == AppraisalMatrix.from_rows(rows) and x.rows == tuple(map(tuple, rows))
 
 
 class TestMetrics:

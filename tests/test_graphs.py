@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from balance_lab.graphs import (
     read_edge_list,
     skeleton,
     write_edge_list,
-    _bulk_rows,
+    _bulk_matrix,
     _link_masks,
     _parse_lines,
 )
@@ -140,6 +141,28 @@ class TestBilateral:
     def test_zero_matrix_vacuously_bilateral(self):
         assert is_bilateral(AppraisalMatrix.zeros(4))
 
+    def test_one_way_enemy_is_not_sign_symmetric(self):
+        x = AppraisalMatrix.from_edge_list(3, [(1, 2, 1), (2, 1, 1), (2, 3, -1)])
+        assert not is_sign_symmetric(x) and not is_sign_symmetric(AppraisalMatrix(x.rows))
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_sign_symmetry_matches_the_transpose(self, kind):
+        rng = random.Random(f"sign-symmetric:{kind}")
+        verdicts = set()
+        for _ in range(150):
+            x = varied_matrix(rng, kind)
+            if rng.random() < 0.5:
+                # Mirror the upper triangle, so that symmetric matrices occur.
+                rows = [list(r) for r in x.rows]
+                for a in range(x.n):
+                    for b in range(a):
+                        rows[a][b] = rows[b][a]
+                x = AppraisalMatrix.from_rows(rows, x.labels)
+            verdict = is_sign_symmetric(x)
+            assert verdict == (x.rows == tuple(zip(*x.rows))), x
+            verdicts.add(verdict)
+        assert True in verdicts and (False in verdicts or kind == "empty")
+
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_matches_pair_loop_oracle(self, kind):
         rng = random.Random(f"bilateral:{kind}")
@@ -157,15 +180,25 @@ class TestBilateral:
             assert len(skeleton(x).edges) * 2 == x.nonzero_count()
 
 
+def masks_by_row_scan(rows):
+    """Oracle: (out, into) link masks and (plus, minus) sign masks, entry by entry."""
+    n = len(rows)
+    out = tuple(sum(1 << b for b in range(n) if rows[a][b]) for a in range(n))
+    into = tuple(sum(1 << a for a in range(n) if rows[a][b]) for b in range(n))
+    plus = tuple(sum(1 << b for b in range(n) if rows[a][b] > 0) for a in range(n))
+    minus = tuple(sum(1 << b for b in range(n) if rows[a][b] < 0) for a in range(n))
+    return (out, into), (plus, minus)
+
+
 class TestLinkMaskView:
-    """Each matrix reads its rows into link masks once, and the view stays true."""
+    """Each matrix transposes its sign masks once, and every view stays true."""
 
     def test_every_link_analysis_shares_one_build(self, monkeypatch):
         calls = []
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def counting(plus, minus):
+            calls.append(len(plus))
+            return real(plus, minus)
 
         real = graphs._link_masks
         monkeypatch.setattr(graphs, "_link_masks", counting)
@@ -180,9 +213,9 @@ class TestLinkMaskView:
         # kernel with its own build shows up as a second call.
         calls = []
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def counting(plus, minus):
+            calls.append(len(plus))
+            return real(plus, minus)
 
         real = graphs._link_masks
         for module in (graphs, balance, experiments, dynamics):
@@ -200,7 +233,7 @@ class TestLinkMaskView:
             for _ in range(30):
                 x = varied_matrix(rng, kind)
                 cold = AppraisalMatrix(x.rows, x.labels)
-                assert x._masks == _link_masks(x.rows)
+                assert (x._masks, x._signs) == masks_by_row_scan(x.rows)
                 assert "_masks" in vars(x) and "_masks" not in vars(cold)
                 assert x == cold and cold == x and hash(x) == hash(cold)
                 assert repr(x) == repr(cold) and len({x, cold}) == 1
@@ -232,7 +265,8 @@ class TestLinkMaskView:
                 m._masks
             made.append(run_sih(edited, SihParams(), case, max_steps=40).final_x)
             for m in made:
-                assert m._masks == _link_masks(m.rows), (case, m)
+                assert (m._masks, m._signs) == masks_by_row_scan(m.rows), (case, m)
+                assert m._incoming == _link_masks(*m._signs), (case, m)
             matrices_seen += len(made)
         assert matrices_seen > 200
 
@@ -434,7 +468,8 @@ class TestBulkReader:
         rng = random.Random(11)
         for n in range(1, 14):
             x = random_matrix(rng, n, rng.choice((0.0, 0.2, 0.7)))
-            assert _bulk_rows(("# written\n\n" + format_edge_list(x)).splitlines()) == x.rows
+            bulk = _bulk_matrix(("# written\n\n" + format_edge_list(x)).splitlines())
+            assert bulk == x and bulk.rows == x.rows
 
     @pytest.mark.parametrize(
         "text",
@@ -452,8 +487,90 @@ class TestBulkReader:
         ],
     )
     def test_a_file_spelled_otherwise_goes_to_the_line_loop(self, text):
-        assert _bulk_rows(text.splitlines()) is None
+        assert _bulk_matrix(text.splitlines()) is None
         assert _parsed(parse_edge_list, text) == _parsed(_by_line_loop, text)
+
+
+def _edge_list_corpus():
+    """(text, whether the bulk reader takes it) for files of 1 to 64 nodes:
+    as written, with leading comments, with the links shuffled, with tabs
+    between the fields, and spelled in ways only the line loop reads (a sign
+    with '+', a leading zero, a late comment, a blank line between links)."""
+    rng = random.Random("edge-list-corpus")
+    for n in list(range(1, 14)) + [31, 64]:
+        for p in (0.0, 0.2, 0.6):
+            text = format_edge_list(random_matrix(rng, n, p))
+            header, *links = text.splitlines()
+            yield text, True
+            yield "# written\n\n" + text, True
+            rng.shuffle(links)
+            yield "\n".join([header, *links]) + "\n", True
+            if links:
+                yield "\n".join([header, *(line.replace(" ", "\t") for line in links)]) + "\n", True
+                odd = list(links)
+                k = rng.randrange(len(odd))
+                i, j, sign = odd[k].split()
+                odd[k] = f"{i} {j} +{sign}" if sign == "1" else f"0{i} {j} {sign}"
+                yield "\n".join([header, *odd]) + "\n", False
+                yield "\n".join([header, *links, "# late comment"]) + "\n", False
+                yield "\n".join([header, links[0], "", *links[1:]]) + "\n", False
+
+
+class TestSignMaskStorage:
+    """Matrices keep sign masks; every way to build one gives the same value."""
+
+    def test_bulk_and_line_parsers_build_the_same_matrix(self):
+        taken = {True: 0, False: 0}
+        for text, bulk in _edge_list_corpus():
+            lines = text.splitlines()
+            assert (_bulk_matrix(lines) is not None) == bulk, text
+            fast, slow = parse_edge_list(text), _parse_lines(lines)
+            assert fast == slow and slow == fast and hash(fast) == hash(slow)
+            assert list(fast.nonzero_links()) == list(slow.nonzero_links())
+            assert fast.rows == slow.rows and repr(fast) == repr(slow)
+            for x in (fast, slow):
+                copy = pickle.loads(pickle.dumps(x))
+                assert copy == fast and hash(copy) == hash(fast) and copy.rows == fast.rows
+            assert format_edge_list(fast) == format_edge_list(_parse_lines(text.splitlines()))
+            taken[bulk] += 1
+        assert min(taken.values()) > 75, taken
+
+    def test_rows_built_and_mask_built_matrices_are_equal(self):
+        rng = random.Random("rows-and-masks")
+        for kind in MATRIX_KINDS:
+            for _ in range(40):
+                x = varied_matrix(rng, kind)
+                _, (plus, minus) = masks_by_row_scan(x.rows)
+                from_masks = AppraisalMatrix._make(x.labels, _signs=(plus, minus))
+                from_rows = AppraisalMatrix(x.rows, x.labels)
+                assert "rows" not in vars(from_masks) and "_signs" not in vars(from_rows)
+                assert from_rows == from_masks and from_masks == from_rows
+                assert hash(from_rows) == hash(from_masks) and len({from_rows, from_masks}) == 1
+                assert from_masks.rows == x.rows and repr(from_masks) == repr(x)
+                assert list(from_masks.nonzero_links()) == [
+                    (i, j, x.rows[a][b])
+                    for a, i in enumerate(x.labels)
+                    for b, j in enumerate(x.labels)
+                    if x.rows[a][b]
+                ]
+                assert from_masks.nonzero_count() == sum(v != 0 for r in x.rows for v in r)
+                assert from_masks.negative_count() == sum(v < 0 for r in x.rows for v in r)
+                if x.labels == tuple(range(1, x.n + 1)):
+                    assert AppraisalMatrix.from_edge_list(x.n, x.nonzero_links()) == x
+
+    def test_single_entry_changes_match_the_rows(self):
+        rng = random.Random("with-entry")
+        for _ in range(200):
+            x = varied_matrix(rng, rng.choice(MATRIX_KINDS))
+            if x.n < 2:
+                continue
+            i, j = rng.sample(x.labels, 2)
+            value = rng.choice((-1, 0, 1))
+            rows = [list(r) for r in x.rows]
+            rows[x.index_of(i)][x.index_of(j)] = value
+            changed = x.with_entry(i, j, value)
+            assert changed == AppraisalMatrix.from_rows(rows, x.labels)
+            assert changed.entry(i, j) == value and changed.rows == tuple(map(tuple, rows))
 
 
 class TestEntryConversion:

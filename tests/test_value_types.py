@@ -1,7 +1,8 @@
 """The contract of the library's value types, in one table over all thirteen.
 
 Every type builds from positional or keyword arguments in its field order,
-hashes as the plain tuple of its fields, survives a ``pickle`` round trip
+hashes as the plain tuple of its fields (a matrix, which stores sign masks
+rather than rows, as the tuple of its masks and labels), survives a ``pickle`` round trip
 (as the records of a study run on worker processes must) and refuses
 assignment.  The records and parameter types are named tuples, so they
 equal the plain tuple of their fields and ``_replace`` works on them; where
@@ -67,6 +68,8 @@ TABLE = [
     (RegressionResult, ("k", "b", "r", "n_points"), (1.5, -0.25, 0.9, 12)),
 ]
 GRAPH_TYPES = (AppraisalMatrix, UndirectedSkeleton)
+# X's (plus, minus) sign masks and labels: bit b of plus[a] is X[a][b] == 1.
+HASH_KEYS = {AppraisalMatrix: (((2, 1, 2), (4, 0, 1)), (2, 5, 9))}
 IDS = [cls.__name__ for cls, _, _ in TABLE]
 
 
@@ -79,7 +82,7 @@ def test_positional_and_keyword_construction_agree(cls, fields, args):
 
 @pytest.mark.parametrize("cls, fields, args", TABLE, ids=IDS)
 def test_hash_is_the_hash_of_the_field_tuple(cls, fields, args):
-    assert hash(cls(*args)) == hash(args)
+    assert hash(cls(*args)) == hash(HASH_KEYS.get(cls, args))
 
 
 @pytest.mark.parametrize("cls, fields, args", TABLE, ids=IDS)
