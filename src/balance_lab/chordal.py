@@ -404,7 +404,7 @@ def _signed(
         masks = minus if neg else plus
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    return AppraisalMatrix._make(g.nodes, _signs=(tuple(plus), tuple(minus)))
+    return AppraisalMatrix._make(g.nodes, (tuple(plus), tuple(minus)))
 
 
 def equivalence_counterexample(g: UndirectedSkeleton) -> Optional[AppraisalMatrix]:

@@ -36,7 +36,7 @@ import random
 from collections import namedtuple
 from typing import Callable, Optional, TextIO
 
-from .graphs import AppraisalMatrix, _checked_replace, _linked_pairs, _skeleton_masks
+from .graphs import AppraisalMatrix, _checked_replace, _linked_pairs, _row_signs, _skeleton_masks
 from .rng import stream
 
 SYMMETRY = "symmetry"
@@ -221,8 +221,12 @@ def _row_lists(x: AppraisalMatrix) -> list[list[int]]:
 
 
 def _freeze(rows: list[list[int]], labels: tuple[int, ...]) -> AppraisalMatrix:
-    # Every update writes -1, 0 or 1 off the diagonal, so the rows need no check.
-    return AppraisalMatrix._make(labels, rows=tuple(map(tuple, rows)))
+    # Every update writes -1, 0 or 1 off the diagonal: no check.  The result
+    # stores sign masks; its ``rows`` view, which equilibrium checks read, is
+    # filled rather than rebuilt.
+    x = AppraisalMatrix._make(labels, _row_signs(rows))
+    vars(x)["rows"] = tuple(map(tuple, rows))
+    return x
 
 
 def _bad_tris_through(pos: list[int], neg: list[int], a: int, b: int, v: int) -> int:

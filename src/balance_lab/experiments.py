@@ -100,7 +100,7 @@ def gen_er_signed(params: ErParams, seed: int) -> AppraisalMatrix:
             if rng.random() < params.p_neg:
                 minus[i] |= 1 << j
     plus = tuple(map(xor, out, minus))
-    return AppraisalMatrix._make(_default_labels(n), _signs=(plus, tuple(minus)))
+    return AppraisalMatrix._make(_default_labels(n), (plus, tuple(minus)))
 
 
 def conflict_ratio(x: AppraisalMatrix) -> Optional[float]:

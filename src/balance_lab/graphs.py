@@ -6,13 +6,14 @@ self-appraisal).  Node ids are 1-based externally; induced subgraphs are
 contiguously re-indexed internally but carry the original ids in ``labels``
 so worked examples keep their node names.
 
-A matrix keeps its links as per-position sign masks, which the edge-list
-parser writes straight from its tokens.  ``_link_masks`` is the one place
-where they are transposed into the masks of who appraises each position.
-A matrix builds each view at most once, on first use, and shares it with
-every analysis and with the simulation kernel.  A skeleton keeps one
-neighbour mask per position, positions following the sorted node ids,
-which every graph walk on it reads.
+Both graph types store bit masks per position, positions following the
+sorted node ids.  A matrix stores sign masks, which the edge-list parser
+writes straight from its tokens (one built from rows keeps the rows);
+``_link_masks`` is the one place where they are transposed.  A skeleton
+stores one neighbour mask per position and nothing else.  Every other
+form, ``rows`` and ``edges`` included, is a view built once, on first use,
+and shared with every analysis.  ``_make``, each type's one unchecked
+constructor, takes the masks.
 
 All types are immutable values after construction and safe to share across
 workers.
@@ -28,10 +29,11 @@ from typing import Iterable, Iterator, Sequence, Union
 
 
 # Largest node count an edge-list header, a ``--n`` flag, ``AppraisalMatrix.zeros``,
-# ``AppraisalMatrix.from_edge_list`` or ``ErParams`` may ask for.  Parsing and
-# ``analyze`` read sign masks and grow with links: a 4096-node file with 12,000
-# links peaks at about 31 MB.  ``simulate`` copies the dense ``rows`` view, which
-# grows with n squared: about 415 MB on that file.
+# ``AppraisalMatrix.from_edge_list``, ``UndirectedSkeleton.from_edges`` or
+# ``ErParams`` may ask for.  Parsing and ``analyze`` read sign masks and grow with
+# links: a 4096-node file with 12,000 links peaks at about 31 MB.  ``simulate``
+# copies the dense ``rows`` view, which grows with n squared: about 415 MB on
+# that file.
 NODE_LIMIT = 4096
 
 _TERNARY = frozenset((-1, 0, 1))
@@ -85,6 +87,24 @@ def _masks_of_links(
             plus[i - 1] |= 1 << j - 1
         else:
             minus[i - 1] |= 1 << j - 1
+    return tuple(plus), tuple(minus)
+
+
+def _row_signs(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``(plus, minus)`` sign masks of checked square rows.
+
+    One pass over the links of each row: ``compress`` skips the zeros.
+    """
+    positions, plus, minus = range(len(rows)), [], []
+    for row in rows:
+        p = m = 0
+        for b in compress(positions, row):
+            if row[b] > 0:
+                p |= 1 << b
+            else:
+                m |= 1 << b
+        plus.append(p)
+        minus.append(m)
     return tuple(plus), tuple(minus)
 
 
@@ -153,15 +173,12 @@ def _checked_replace(self, **changes):
     return value
 
 
-class _Frozen:
-    """Refuses to set or delete an attribute once the value is built.
+class _Graph:
+    """The base of both graph types: immutability and the position view.
 
-    Subclasses write their fields once, in ``__init__``, through
-    ``object.__setattr__``; ``functools.cached_property`` writes into the
-    instance ``__dict__`` directly and so still works.
+    Fields are written once, in ``__init__`` or ``_make``, into the instance
+    ``__dict__``, where ``functools.cached_property`` stores views too.
     """
-
-    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,8 +186,16 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        return dict(zip(self.nodes, range(self.n)))
 
-class AppraisalMatrix(_Frozen):
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
+
+
+class AppraisalMatrix(_Graph):
     """Square ternary matrix of interpersonal appraisals with zero diagonal.
 
     ``labels[a]`` is the external id of position ``a``: strictly increasing
@@ -215,10 +240,12 @@ class AppraisalMatrix(_Frozen):
         vars(self).update(rows=rows, labels=labels)
 
     @classmethod
-    def _make(cls, labels: tuple[int, ...], **view) -> "AppraisalMatrix":
-        # Unchecked: ``view`` is ``rows=`` or ``_signs=``, valid for ``labels``.
+    def _make(
+        cls, labels: tuple[int, ...], signs: tuple[tuple[int, ...], tuple[int, ...]]
+    ) -> "AppraisalMatrix":
+        # Unchecked: ``signs`` are the ``(plus, minus)`` masks, valid for ``labels``.
         self = object.__new__(cls)
-        vars(self).update(view, labels=labels)
+        vars(self).update(labels=labels, _signs=signs)
         return self
 
     def __repr__(self) -> str:
@@ -246,18 +273,7 @@ class AppraisalMatrix(_Frozen):
 
     @cached_property
     def _signs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # One pass over the links of each row: ``compress`` skips the zeros.
-        positions, plus, minus = range(self.n), [], []
-        for row in self.rows:
-            p = m = 0
-            for b in compress(positions, row):
-                if row[b] > 0:
-                    p |= 1 << b
-                else:
-                    m |= 1 << b
-            plus.append(p)
-            minus.append(m)
-        return tuple(plus), tuple(minus)
+        return _row_signs(self.rows)
 
     @cached_property
     def _incoming(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -269,14 +285,6 @@ class AppraisalMatrix(_Frozen):
         (plus, minus), (in_plus, in_minus) = self._signs, self._incoming
         return tuple(map(or_, plus, minus)), tuple(map(or_, in_plus, in_minus))
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return dict(zip(self.labels, range(self.n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
     @property
     def nodes(self) -> tuple[int, ...]:
         return self.labels
@@ -284,7 +292,7 @@ class AppraisalMatrix(_Frozen):
     @classmethod
     def zeros(cls, n: int) -> "AppraisalMatrix":
         _check_node_count(n)
-        return cls._make(_default_labels(n), _signs=((0,) * n, (0,) * n))
+        return cls._make(_default_labels(n), ((0,) * n, (0,) * n))
 
     @classmethod
     def from_rows(
@@ -306,7 +314,7 @@ class AppraisalMatrix(_Frozen):
         seen: set[tuple[int, int]] = set()
         for i, j, s in entries:
             _check_link(n, i, j, s, seen)
-        return cls._make(_default_labels(n), _signs=_masks_of_links(n, entries))
+        return cls._make(_default_labels(n), _masks_of_links(n, entries))
 
     def index_of(self, node: int) -> int:
         """Positional index of an external node id."""
@@ -345,11 +353,8 @@ class AppraisalMatrix(_Frozen):
                     yield i, labels[b], row[b]
             return
         for i, plus, minus in zip(labels, *self._signs):
-            both = plus | minus
-            while both:
-                low = both & -both
-                both ^= low
-                yield i, labels[low.bit_length() - 1], -1 if minus & low else 1
+            for b in _positions(plus | minus):
+                yield i, labels[b], -1 if minus >> b & 1 else 1
 
     def nonzero_count(self) -> int:
         return sum(map(int.bit_count, chain(*self._signs)))
@@ -358,13 +363,14 @@ class AppraisalMatrix(_Frozen):
         return sum(map(int.bit_count, self._signs[1]))
 
 
-class UndirectedSkeleton(_Frozen):
+class UndirectedSkeleton(_Graph):
     """Unsigned undirected graph: node ids plus a set of unordered pairs.
 
-    Like a matrix, it keeps a position view: ``_pos`` maps node ids to
-    positions in the sorted ``nodes``, and ``_masks[a]`` is the neighbour
-    mask of position ``a``.  Immutable, compared and hashed by ``(nodes,
-    edges)``, like ``AppraisalMatrix``; not a tuple.
+    It stores only the sorted ``nodes`` and ``_masks``: bit ``b`` of
+    ``_masks[a]`` is set when ``{nodes[a], nodes[b]}`` is an edge.
+    ``edges``, the pairs ``(i, j)`` with ``i < j``, is a view built on first
+    use.  Immutable, compared and hashed by ``(nodes, _masks)``, and equal
+    only to another ``UndirectedSkeleton``; not a tuple.
     """
 
     def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]] = frozenset()):
@@ -373,46 +379,52 @@ class UndirectedSkeleton(_Frozen):
             raise ValueError("node ids must be positive integers")
         pos = dict(zip(nodes, range(len(nodes))))
         masks = [0] * len(nodes)
-        pairs = set()
         for e in edges:
             a, b = e
             if a == b:
                 raise ValueError(f"self-pair not allowed: {e}")
             if a not in pos or b not in pos:
                 raise ValueError(f"edge {e} has an endpoint outside the node set")
-            pairs.add((a, b) if a < b else (b, a))
             masks[pos[a]] |= 1 << pos[b]
             masks[pos[b]] |= 1 << pos[a]
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(pairs))
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_masks", tuple(masks))
+        vars(self).update(nodes=nodes, _masks=tuple(masks))
+
+    @classmethod
+    def _make(cls, nodes: tuple[int, ...], masks: tuple[int, ...]) -> "UndirectedSkeleton":
+        # Unchecked: ``masks`` are symmetric neighbour masks, valid for the sorted ``nodes``.
+        self = object.__new__(cls)
+        vars(self).update(nodes=nodes, _masks=masks)
+        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(nodes={self.nodes!r}, edges={self.edges!r})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.nodes, self.edges) == (other.nodes, other.edges)
+            return (self.nodes, self._masks) == (other.nodes, other._masks)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
+        return hash((self.nodes, self._masks))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        nodes = self.nodes
+        return frozenset((nodes[a], nodes[b]) for a, b in _linked_pairs(self._masks))
 
     @classmethod
     def from_edges(
         cls, nodes: Union[int, Iterable[int]], pairs: Iterable[tuple[int, int]]
     ) -> "UndirectedSkeleton":
         """Build from a node count (meaning ``1..n``) or explicit node ids."""
-        node_tuple = _default_labels(nodes) if isinstance(nodes, int) else tuple(nodes)
-        return cls(node_tuple, frozenset((a, b) for a, b in pairs))
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
+        if isinstance(nodes, int):
+            _check_node_count(nodes)
+            nodes = _default_labels(nodes)
+        return cls(nodes, frozenset((a, b) for a, b in pairs))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
+        pos = self._pos
+        return i in pos and j in pos and self._masks[pos[i]] >> pos[j] & 1 == 1
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         try:
@@ -422,7 +434,7 @@ class UndirectedSkeleton(_Frozen):
         return tuple(map(self.nodes.__getitem__, _positions(mask)))
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -436,18 +448,14 @@ class UndirectedSkeleton(_Frozen):
         return seen == (1 << self.n) - 1
 
 
-def _skeleton_masks(x: AppraisalMatrix) -> list[int]:
+def _skeleton_masks(x: AppraisalMatrix) -> tuple[int, ...]:
     """Per position, the mask of everyone linked to it in either direction."""
-    out, into = x._masks
-    return [o | i for o, i in zip(out, into)]
+    return tuple(map(or_, *x._masks))
 
 
 def skeleton(x: AppraisalMatrix) -> UndirectedSkeleton:
     """The unsigned undirected view: pair {i,j} present iff either direction is nonzero."""
-    labels = x.labels
-    return UndirectedSkeleton(
-        labels, frozenset((labels[a], labels[b]) for a, b in _linked_pairs(_skeleton_masks(x)))
-    )
+    return UndirectedSkeleton._make(x.labels, _skeleton_masks(x))
 
 
 def is_bilateral(x: AppraisalMatrix) -> bool:
@@ -477,31 +485,31 @@ def induced_subgraph(
 ):
     """Restriction to ``members``: keeps exactly links with both endpoints inside.
 
-    Works on both graph kinds and returns the same kind; original node ids
-    are retained as labels.
+    Works on both graph kinds and returns the same kind, remapping its
+    masks; original node ids are retained as labels.
     """
-    member_set = set(members)
     if isinstance(g, AppraisalMatrix):
-        missing = member_set - set(g.labels)
-        if missing:
-            raise ValueError(f"nodes not in matrix: {sorted(missing)}")
-        keep = sorted(member_set)
-        idx = [g.index_of(v) for v in keep]
-        # Old position -> new position, for the kept positions' links only.
-        moved = dict(zip(idx, range(len(idx))))
-        kept = sum(1 << a for a in idx)
-        plus, minus = (
-            tuple(sum(1 << moved[b] for b in _positions(masks[a] & kept)) for a in idx)
-            for masks in g._signs
-        )
-        return AppraisalMatrix._make(tuple(keep), _signs=(plus, minus))
-    if isinstance(g, UndirectedSkeleton):
-        missing = member_set - set(g.nodes)
-        if missing:
-            raise ValueError(f"nodes not in graph: {sorted(missing)}")
-        edges = frozenset(e for e in g.edges if e[0] in member_set and e[1] in member_set)
-        return UndirectedSkeleton(tuple(sorted(member_set)), edges)
-    raise TypeError(f"unsupported graph type: {type(g).__name__}")
+        kind, stored = "matrix", g._signs
+    elif isinstance(g, UndirectedSkeleton):
+        kind, stored = "graph", (g._masks,)
+    else:
+        raise TypeError(f"unsupported graph type: {type(g).__name__}")
+    member_set = set(members)
+    missing = member_set - set(g.nodes)
+    if missing:
+        raise ValueError(f"nodes not in {kind}: {sorted(missing)}")
+    idx = sorted(map(g._pos.__getitem__, member_set))
+    # Old position -> new position, for the kept positions' links only.
+    moved = dict(zip(idx, range(len(idx))))
+    kept = sum(1 << a for a in idx)
+    remapped = [
+        tuple(sum(1 << moved[b] for b in _positions(masks[a] & kept)) for a in idx)
+        for masks in stored
+    ]
+    nodes = tuple(map(g.nodes.__getitem__, idx))
+    if kind == "matrix":
+        return AppraisalMatrix._make(nodes, tuple(remapped))
+    return UndirectedSkeleton._make(nodes, remapped[0])
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +581,7 @@ def _bulk_matrix(lines: list[str]) -> AppraisalMatrix | None:
     # A repeated pair sets a bit already set, in the same mask or the other one.
     if sum(map(int.bit_count, map(or_, plus, minus))) != len(s_s):
         return None
-    return AppraisalMatrix._make(_default_labels(n), _signs=(plus, minus))
+    return AppraisalMatrix._make(_default_labels(n), (plus, minus))
 
 
 def _parse_lines(lines: list[str]) -> AppraisalMatrix:
@@ -612,7 +620,7 @@ def _parse_lines(lines: list[str]) -> AppraisalMatrix:
     if n is None:
         raise EdgeListError("missing 'n <count>' header")
     # Every link passed _check_link above; only the masks are left to fill.
-    return AppraisalMatrix._make(_default_labels(n), _signs=_masks_of_links(n, entries))
+    return AppraisalMatrix._make(_default_labels(n), _masks_of_links(n, entries))
 
 
 def format_edge_list(x: AppraisalMatrix) -> str:

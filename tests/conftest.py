@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
+import networkx as nx
 import pytest
 
 from balance_lab.balance import (
@@ -53,6 +55,27 @@ def complete_skeleton(n: int) -> UndirectedSkeleton:
     return UndirectedSkeleton.from_edges(
         n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     )
+
+
+def atlas_and_random_edge_lists():
+    """Every connected atlas graph on 3 to 7 nodes, then 400 G(n, p) graphs
+    on 1 to 12 nodes, connected or not, with gapped labels on half; each as
+    its node ids and its list of pairs."""
+    for h in nx.graph_atlas_g():
+        if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h):
+            yield list(range(1, h.number_of_nodes() + 1)), [(a + 1, b + 1) for a, b in h.edges]
+    rng = random.Random(79)
+    for trial in range(400):
+        n = rng.randrange(1, 13)
+        nodes = sorted(rng.sample(range(1, 60), n)) if trial % 2 else list(range(1, n + 1))
+        p = rng.random()
+        yield nodes, [e for e in itertools.combinations(nodes, 2) if rng.random() < p]
+
+
+def atlas_and_random_skeletons():
+    """The graphs of ``atlas_and_random_edge_lists``, built by ``from_edges``."""
+    for nodes, pairs in atlas_and_random_edge_lists():
+        yield UndirectedSkeleton.from_edges(nodes, pairs)
 
 
 def random_matrix(rng: random.Random, n: int, p_nonzero: float = 0.5) -> AppraisalMatrix:
@@ -288,6 +311,34 @@ def skeleton_by_pair_loop(x: AppraisalMatrix) -> UndirectedSkeleton:
             if x.rows[a][b] or x.rows[b][a]:
                 edges.add((labels[a], labels[b]))
     return UndirectedSkeleton(labels, frozenset(edges))
+
+
+def induced_skeleton_by_pair_filter(g: UndirectedSkeleton, members) -> UndirectedSkeleton:
+    """Oracle for ``induced_subgraph`` on a skeleton: keep the pairs with both ends inside."""
+    member_set = set(members)
+    missing = member_set - set(g.nodes)
+    if missing:
+        raise ValueError(f"nodes not in graph: {sorted(missing)}")
+    edges = frozenset(e for e in g.edges if e[0] in member_set and e[1] in member_set)
+    return UndirectedSkeleton(tuple(sorted(member_set)), edges)
+
+
+def induced_matrix_by_mask_remap(x: AppraisalMatrix, members) -> AppraisalMatrix:
+    """Oracle for ``induced_subgraph`` on a matrix: each kept row's sign masks, re-indexed."""
+    member_set = set(members)
+    missing = member_set - set(x.labels)
+    if missing:
+        raise ValueError(f"nodes not in matrix: {sorted(missing)}")
+    keep = sorted(member_set)
+    idx = [x.index_of(v) for v in keep]
+    moved = dict(zip(idx, range(len(idx))))
+    signs = []
+    for masks in x._signs:
+        signs.append(tuple(
+            sum(1 << moved[b] for b in range(x.n) if masks[a] >> b & 1 and b in moved)
+            for a in idx
+        ))
+    return AppraisalMatrix._make(tuple(keep), tuple(signs))
 
 
 def bilateral_by_pair_loop(x: AppraisalMatrix) -> bool:

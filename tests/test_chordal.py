@@ -35,6 +35,7 @@ from balance_lab.graphs import (
 
 from conftest import (
     PENTAGON,
+    atlas_and_random_skeletons,
     complete_skeleton,
     counterexample_by_free_edge_scan,
     cycle_skeleton,
@@ -860,18 +861,29 @@ def assert_separating(g: UndirectedSkeleton, x: AppraisalMatrix) -> None:
     assert detect_two_faction(x) is None
 
 
-def atlas_and_random_skeletons():
-    """Every connected atlas graph on 3 to 7 nodes, then 400 G(n, p) graphs
-    on 1 to 12 nodes, connected or not, with gapped labels on half."""
-    for h in nx.graph_atlas_g():
-        if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h):
-            yield UndirectedSkeleton.from_edges(h.number_of_nodes(), [(a + 1, b + 1) for a, b in h.edges])
-    rng = random.Random(79)
-    for trial in range(400):
-        n = rng.randrange(1, 13)
-        nodes = sorted(rng.sample(range(1, 60), n)) if trial % 2 else list(range(1, n + 1))
-        p = rng.random()
-        yield UndirectedSkeleton.from_edges(nodes, [e for e in itertools.combinations(nodes, 2) if rng.random() < p])
+class TestEdgesViewUnbuilt:
+    def test_equivalence_reads_masks_and_never_the_edges_view(self, monkeypatch):
+        # Skeletons keep only masks; the certificate and the counterexample
+        # must not build the label-pair view, on the input or on any
+        # skeleton made along the way.  Graphs with a cycle rank above 8 are
+        # skipped, to keep cycle enumeration short.
+        inputs = [
+            g for g in atlas_and_random_skeletons()
+            if g.is_connected() and g.edge_count() - g.n + 1 <= 8
+        ]
+
+        def refuse(g):
+            raise AssertionError("edges view built")
+
+        monkeypatch.setattr(UndirectedSkeleton, "edges", property(refuse))
+        tally = {"certified": 0, "refused": 0, "counterexample": 0}
+        for g in inputs:
+            ok, _ = check_equivalence_conditions(g)
+            x = equivalence_counterexample(g)
+            tally["certified" if ok else "refused"] += 1
+            tally["counterexample"] += x is not None
+            assert "edges" not in vars(g)
+        assert min(tally.values()) >= 50, tally
 
 
 class TestEliminationCounterexample:

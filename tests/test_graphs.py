@@ -30,7 +30,10 @@ from balance_lab.graphs import (
 from conftest import (
     GRAPH1_EDGES,
     MATRIX_KINDS,
+    atlas_and_random_edge_lists,
     bilateral_by_pair_loop,
+    induced_matrix_by_mask_remap,
+    induced_skeleton_by_pair_filter,
     random_matrix,
     skeleton_by_pair_loop,
     varied_matrix,
@@ -541,7 +544,7 @@ class TestSignMaskStorage:
             for _ in range(40):
                 x = varied_matrix(rng, kind)
                 _, (plus, minus) = masks_by_row_scan(x.rows)
-                from_masks = AppraisalMatrix._make(x.labels, _signs=(plus, minus))
+                from_masks = AppraisalMatrix._make(x.labels, (plus, minus))
                 from_rows = AppraisalMatrix(x.rows, x.labels)
                 assert "rows" not in vars(from_masks) and "_signs" not in vars(from_rows)
                 assert from_rows == from_masks and from_masks == from_rows
@@ -571,6 +574,162 @@ class TestSignMaskStorage:
             changed = x.with_entry(i, j, value)
             assert changed == AppraisalMatrix.from_rows(rows, x.labels)
             assert changed.entry(i, j) == value and changed.rows == tuple(map(tuple, rows))
+
+
+def masks_by_pair_loop(nodes, pairs):
+    """Neighbour masks of ``pairs`` on the sorted ``nodes``, one pair at a time."""
+    nodes = sorted(nodes)
+    masks = [0] * len(nodes)
+    for i, j in pairs:
+        a, b = nodes.index(i), nodes.index(j)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return tuple(nodes), tuple(masks)
+
+
+def assert_same_skeleton(made, checked, pairs):
+    """``made`` and ``checked`` agree in every view, and both hold exactly ``pairs``."""
+    expected = frozenset((i, j) if i < j else (j, i) for i, j in pairs)
+    assert made == checked and checked == made and not made != checked
+    assert hash(made) == hash(checked) and len({made, checked}) == 1
+    assert set(vars(made)) == set(vars(checked)) == {"nodes", "_masks"}
+    assert made.edge_count() == checked.edge_count() == len(expected)
+    absent = max(checked.nodes, default=0) + 1
+    ids = (*checked.nodes, absent)
+    for i in ids:
+        for j in ids:
+            want = (min(i, j), max(i, j)) in expected
+            assert made.has_edge(i, j) is checked.has_edge(i, j) is want, (i, j)
+    for i in checked.nodes:
+        want = tuple(sorted({j for e in expected if i in e for j in e} - {i}))
+        assert made.neighbors(i) == checked.neighbors(i) == want
+    assert "edges" not in vars(made) and "edges" not in vars(checked)
+    assert made.edges == checked.edges == expected and repr(made) == repr(checked)
+    for g in (made, checked):
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == checked and hash(copy) == hash(checked) and copy.edges == expected
+
+
+def _atlas_sample():
+    """Every seventh graph of the atlas corpus, non-empty ones only."""
+    return [
+        UndirectedSkeleton.from_edges(nodes, pairs)
+        for k, (nodes, pairs) in enumerate(atlas_and_random_edge_lists())
+        if k % 7 == 0 and nodes
+    ]
+
+
+class TestSkeletonMaskStorage:
+    """Skeletons store their node ids and neighbour masks only; ``edges`` is a view."""
+
+    def test_mask_built_and_checked_skeletons_agree_on_the_atlas(self):
+        last_on, unequal = {}, 0
+        for nodes, pairs in atlas_and_random_edge_lists():
+            checked = UndirectedSkeleton.from_edges(nodes, pairs)
+            made = UndirectedSkeleton._make(*masks_by_pair_loop(nodes, pairs))
+            assert_same_skeleton(made, checked, pairs)
+            # The atlas holds many graphs on the same nodes: they must differ.
+            before = last_on.get(tuple(nodes))
+            if before is not None and before.edges != made.edges:
+                assert made != before and before != made and not made == before
+                unequal += 1
+            last_on[tuple(nodes)] = made
+            if nodes:
+                shifted = UndirectedSkeleton._make(tuple(v + 1 for v in made.nodes), made._masks)
+                assert shifted != made and made != shifted
+        assert unequal > 1000, unequal
+
+    def test_skeleton_of_a_matrix_agrees_with_the_pair_loop(self):
+        rng = random.Random("skeleton-masks")
+        for kind in MATRIX_KINDS:
+            for _ in range(40):
+                x = varied_matrix(rng, kind)
+                pairs = [
+                    (i, j) for a, i in enumerate(x.labels) for b, j in enumerate(x.labels)
+                    if a < b and (x.rows[a][b] or x.rows[b][a])
+                ]
+                oracle = skeleton_by_pair_loop(x)
+                assert_same_skeleton(skeleton(x), oracle, pairs)
+
+    def test_induced_subgraph_matches_its_oracles_on_both_kinds(self):
+        rng = random.Random("induced-oracles")
+        refused = 0
+        cases = [(g, induced_skeleton_by_pair_filter) for g in _atlas_sample()]
+        cases += [
+            (varied_matrix(rng, kind), induced_matrix_by_mask_remap)
+            for kind in MATRIX_KINDS for _ in range(30)
+        ]
+        for g, oracle in cases:
+            for _ in range(4):
+                members = set(rng.sample(g.nodes, rng.randint(0, g.n)))
+                if rng.random() < 0.2:
+                    members |= {max(g.nodes) + rng.randint(1, 3), 0}
+                try:
+                    want = oracle(g, members)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as caught:
+                        induced_subgraph(g, members)
+                    assert str(caught.value) == str(exc)
+                    refused += 1
+                    continue
+                got = induced_subgraph(g, members)
+                assert type(got) is type(g) and got == want and hash(got) == hash(want)
+                assert got.nodes == want.nodes == tuple(sorted(members))
+                assert "edges" not in vars(got) and "rows" not in vars(got)
+                if isinstance(g, AppraisalMatrix):
+                    assert got.rows == tuple(
+                        tuple(g.entry(i, j) if i != j else 0 for j in got.labels) for i in got.labels
+                    )
+                else:
+                    assert got.edges == want.edges
+        assert refused > 20, refused
+
+    def test_dynamics_results_store_masks_that_match_their_rows(self):
+        # A result matrix stores sign masks, as every unchecked matrix does;
+        # its rows view is filled with the kernel's rows.
+        rng = random.Random("dynamics-results")
+        results = 0
+        for case in range(30):
+            x0 = varied_matrix(rng, rng.choice(("bilateral", "one-way", "complete")))
+            if x0.n < 2 or not x0.nonzero_count():
+                continue
+            y0 = tuple(rng.choice((-1, 1)) for _ in range(x0.n))
+            made = [
+                run_sih(x0, SihParams(), case, max_steps=60).final_x,
+                run_sioh(SiohState(x0, y0), SiohParams(), case, max_steps=60).final_x,
+                sih_step(x0, SihParams(), random.Random(case), step=0)[0],
+            ]
+            for x in made:
+                assert {"labels", "_signs"} <= set(vars(x))
+                assert x._signs == masks_by_row_scan(x.rows)[1]
+                checked = AppraisalMatrix(x.rows, x.labels)
+                assert x == checked and hash(x) == hash(checked) and repr(x) == repr(checked)
+                results += 1
+        assert results > 40, results
+
+    def test_matrix_made_from_masks_only(self):
+        x = AppraisalMatrix._make((2, 5), ((2, 0), (0, 1)))
+        assert set(vars(x)) == {"labels", "_signs"}
+        assert x.rows == ((0, 1), (-1, 0)) and x == AppraisalMatrix(((0, 1), (-1, 0)), (2, 5))
+        with pytest.raises(TypeError):
+            AppraisalMatrix._make((1, 2), rows=((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("count", [-3, 0, NODE_LIMIT + 1, 10**20])
+def test_from_edges_refuses_a_node_count_outside_the_ceiling(count):
+    with pytest.raises(ValueError) as caught:
+        UndirectedSkeleton.from_edges(count, [])
+    assert type(caught.value) is ValueError
+    if count < 1:
+        assert str(caught.value) == "node count must be positive"
+    else:
+        assert str(caught.value) == f"node count {count} exceeds the ceiling of {NODE_LIMIT}"
+
+
+def test_from_edges_takes_explicit_ids_beyond_the_ceiling():
+    g = UndirectedSkeleton.from_edges(range(1, NODE_LIMIT + 2), [(1, NODE_LIMIT + 1)])
+    assert g.n == NODE_LIMIT + 1 and g.edge_count() == 1 and g.has_edge(NODE_LIMIT + 1, 1)
+    assert UndirectedSkeleton.from_edges(NODE_LIMIT, []).n == NODE_LIMIT
 
 
 class TestEntryConversion:

@@ -1,8 +1,9 @@
 """The contract of the library's value types, in one table over all thirteen.
 
 Every type builds from positional or keyword arguments in its field order,
-hashes as the plain tuple of its fields (a matrix, which stores sign masks
-rather than rows, as the tuple of its masks and labels), survives a ``pickle`` round trip
+hashes as the plain tuple of its fields (a graph type hashes as the tuple
+of what it stores: a matrix its sign masks and labels, a skeleton its nodes
+and neighbour masks), survives a ``pickle`` round trip
 (as the records of a study run on worker processes must) and refuses
 assignment.  The records and parameter types are named tuples, so they
 equal the plain tuple of their fields and ``_replace`` works on them; where
@@ -69,7 +70,11 @@ TABLE = [
 ]
 GRAPH_TYPES = (AppraisalMatrix, UndirectedSkeleton)
 # X's (plus, minus) sign masks and labels: bit b of plus[a] is X[a][b] == 1.
-HASH_KEYS = {AppraisalMatrix: (((2, 1, 2), (4, 0, 1)), (2, 5, 9))}
+# The skeleton's nodes and neighbour masks: bit b of masks[a] is the edge {a + 1, b + 1}.
+HASH_KEYS = {
+    AppraisalMatrix: (((2, 1, 2), (4, 0, 1)), (2, 5, 9)),
+    UndirectedSkeleton: ((1, 2, 3), (2, 5, 2)),
+}
 IDS = [cls.__name__ for cls, _, _ in TABLE]
 
 
