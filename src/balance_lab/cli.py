@@ -16,7 +16,6 @@ import sys
 from itertools import chain, groupby, islice, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 from typing import Optional
 
 from . import balance, chordal, dynamics, experiments
@@ -24,11 +23,11 @@ from .graphs import (
     NODE_LIMIT,
     AppraisalMatrix,
     EdgeListError,
+    format_edge_list,
     is_bilateral,
     is_sign_symmetric,
     read_edge_list,
     skeleton,
-    write_edge_list,
 )
 from .rng import derive_seed, stream
 
@@ -174,8 +173,8 @@ def _json_texts(values: list, indent: str) -> list[str]:
     return list(map(template.format, *columns))
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    """Write ``payload`` to stdout, and to ``out`` if given, as indented JSON.
+def _emit(payload: dict, args, flag: Optional[str] = None) -> None:
+    """Write ``payload`` to stdout, and to the file of ``--flag`` if given, as indented JSON.
 
     The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline.  ``_json_texts`` writes it because the standard library
@@ -183,9 +182,10 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     request; its C encoder serves only compact output.
     """
     text = _json_texts([payload], "")[0] + "\n"
+    out = getattr(args, flag) if flag else None
     if out:
-        with _writing(out):
-            Path(out).write_text(text, encoding="utf-8")
+        with _writing(out), open(_target(args, flag), "w", encoding="utf-8") as handle:
+            handle.write(text)
     with _writing("stdout"):
         try:
             sys.stdout.write(text)
@@ -213,26 +213,39 @@ def _discard_stdout() -> None:
         os.close(null)
 
 
+# open(path, "x") as a bare descriptor, which any writer can wrap.
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _check_outputs(args) -> None:
     """Refuse an output path that cannot be opened for writing, before any work.
 
-    Opens in append mode so nothing is truncated, and removes a file the
-    probe itself created.  Two output flags naming one file are refused too:
-    each flag writes its own file.
+    Two flags naming one file are refused before any file is created.  A new
+    file is created here, empty, and its descriptor kept in ``args.created``
+    for the writer; ``main`` removes it if the command fails before writing
+    it.  An existing file is only opened to append, so it is not touched
+    until it is written.
     """
-    flags: dict[str, str] = {}
-    for flag in ("out", "log", "summary"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
-        other = flags.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise _UsageError(f"--{other} and --{flag} name the same file {path}")
-        existed = os.path.lexists(path)
-        with _writing(path), open(path, "a", encoding="utf-8"):
-            pass
-        if not existed:
-            os.remove(path)
+    paths = {f: getattr(args, f) for f in ("out", "log", "summary") if getattr(args, f, None) is not None}
+    if len(paths) > 1:
+        seen: dict[str, str] = {}
+        for flag, path in paths.items():
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise _UsageError(f"--{other} and --{flag} name the same file {path}")
+    for flag, path in paths.items():
+        with _writing(path):
+            try:
+                args.created[flag] = os.open(path, _NEW_FILE, 0o666)
+            except FileExistsError:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+
+
+def _target(args, flag: str):
+    """The probe's descriptor for ``--flag``, which the caller must open at once, else the path."""
+    fd = args.created.pop(flag, None)
+    return getattr(args, flag) if fd is None else fd
 
 
 def _workers() -> int:
@@ -323,7 +336,7 @@ def cmd_analyze(args) -> int:
         except ValueError as exc:
             sys.stderr.write(f"refused: {exc}\n")
             return EXIT_GUARD
-    _emit(report, args.out)
+    _emit(report, args, "out")
     return EXIT_OK
 
 
@@ -359,7 +372,7 @@ def cmd_equivalence(args) -> int:
                 [i, j, s] for i, j, s in counterexample.nonzero_links() if i < j
             ),
         }
-    _emit(report, args.out)
+    _emit(report, args, "out")
     return EXIT_OK
 
 
@@ -387,7 +400,7 @@ def cmd_simulate(args) -> int:
         params = _weights(args, dynamics.SiohParams, ("q1", "q2", "q3"), sih=_sih_params(args))
     # The dynamics write the events' lines to the log file in blocks as they run.
     with _writing(args.log), (
-        open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext(False)
+        open(_target(args, "log"), "w", encoding="utf-8") if args.log else contextlib.nullcontext(False)
     ) as log:
         if args.engine == "sih":
             record = dynamics.run_sih(x0, params, run_seed, args.max_steps, log=log)
@@ -407,9 +420,9 @@ def cmd_simulate(args) -> int:
         "final_opinions": list(record.final_y) if record.final_y else None,
     }
     if args.out:
-        with _writing(args.out):
-            write_edge_list(record.final_x, args.out)
-    _emit(payload, None)
+        with _writing(args.out), open(_target(args, "out"), "w", encoding="utf-8") as handle:
+            handle.write(format_edge_list(record.final_x))
+    _emit(payload, args)
     return EXIT_OK if record.absorbed else EXIT_NOT_ABSORBED
 
 
@@ -426,8 +439,9 @@ def cmd_experiment(args) -> int:
         args.n, args.p, args.p_neg, args.trials, args.seed, _sih_params(args), args.max_steps, _workers()
     )
     with _writing(args.out):
-        experiments.export_csv(records, args.out)
-    _emit(experiments.study_summary(args.study, records, reg, fixed), args.summary)
+        # export_csv hands its path to open(), which takes a descriptor as well.
+        experiments.export_csv(records, _target(args, "out"))
+    _emit(experiments.study_summary(args.study, records, reg, fixed), args, "summary")
     return EXIT_OK
 
 
@@ -507,6 +521,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.created = {}
     try:
         _check_outputs(args)
         return _COMMANDS[args.command](args)
@@ -519,6 +534,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except balance.GuardLimitError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_GUARD
+    finally:
+        # Whatever ended the command, a probe-created file no writer took goes.
+        for flag, fd in args.created.items():
+            os.close(fd)
+            with contextlib.suppress(OSError):
+                os.remove(getattr(args, flag))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from balance_lab import balance, cli, dynamics, experiments, graphs
+from balance_lab import balance, chordal, cli, dynamics, experiments, graphs
 from balance_lab.cli import (
     EXIT_GUARD,
     EXIT_NOT_ABSORBED,
@@ -966,6 +966,71 @@ class TestInputErrors:
         assert report["n"] == 1 and report["link_density"] is None
 
 
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+class TestOutputLifecycle:
+    """A new output file exists only while its command runs, unless written; an old one keeps its bytes."""
+
+    # Each command fails after the probe; "--out PATH" is appended.
+    FAILURES = {
+        "analyze-missing-input": (["analyze", "--input", "{dir}/missing.el"], EXIT_PARSE),
+        "equivalence-guard": (["equivalence", "--input", "{ring13}"], EXIT_GUARD),
+        "equivalence-disconnected": (["equivalence", "--input", "{disconnected}"], EXIT_PARSE),
+        "simulate-refused-flag": (
+            ["simulate", "--n", "4", "--p", "0.5", "--engine", "constructive", "--max-steps", "5"],
+            EXIT_USAGE,
+        ),
+        "equivalence-exception": (["equivalence", "--input", "{triangle}"], RuntimeError),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_failed_command_leaves_outputs_as_they_were(
+        self, tmp_path, triangle_file, monkeypatch, capsys, case, existing
+    ):
+        disconnected = tmp_path / "disc.el"
+        disconnected.write_text("n 4\n1 2 1\n2 1 1\n3 4 1\n4 3 1\n")
+        argv, expected = self.FAILURES[case]
+        argv = [
+            a.format(dir=tmp_path, ring13=ring_file(tmp_path, 13), disconnected=disconnected, triangle=triangle_file)
+            for a in argv
+        ]
+        out = tmp_path / "out.txt"
+        if existing:
+            out.write_bytes(b"kept\r\nbytes")
+        argv += ["--out", str(out)]
+        if expected is RuntimeError:
+            monkeypatch.setattr(chordal, "check_equivalence_conditions", _raise_runtime_error)
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert out.read_bytes() == b"kept\r\nbytes"
+        else:
+            assert not os.path.lexists(out)
+
+    def test_dangling_symlink_output_writes_its_target(self, tmp_path, triangle_file, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        os.symlink(target, link)
+        assert main(["analyze", "--input", triangle_file, "--out", str(link)]) == EXIT_OK
+        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert link.is_symlink() and os.readlink(link) == str(target)
+
+    def test_one_new_output_is_opened_once(self, tmp_path, triangle_file, monkeypatch, capsys):
+        # One output flag has nothing to compare against, and a written file
+        # is never removed: no path is resolved and nothing is unlinked.
+        for name in ("remove", "unlink"):
+            monkeypatch.setattr(os, name, _raise_runtime_error)
+        monkeypatch.setattr(os.path, "realpath", _raise_runtime_error)
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--input", triangle_file, "--out", str(report)]) == EXIT_OK
+        assert report.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 class TestSubprocessInvocation:
     def test_module_entry_point_and_thread_env_invariance(self, tmp_path):
         """Byte-identical CSV under different BALANCE_LAB_THREADS settings."""
@@ -1127,7 +1192,7 @@ class TestReportWriter:
 
     def _payloads(self, monkeypatch, *argvs):
         payloads = []
-        monkeypatch.setattr(cli, "_emit", lambda payload, out: payloads.append(payload))
+        monkeypatch.setattr(cli, "_emit", lambda payload, *_: payloads.append(payload))
         for argv in argvs:
             assert main(argv) in (EXIT_OK, EXIT_NOT_ABSORBED)
         return payloads
