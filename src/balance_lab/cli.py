@@ -439,7 +439,6 @@ def cmd_experiment(args) -> int:
         args.n, args.p, args.p_neg, args.trials, args.seed, _sih_params(args), args.max_steps, _workers()
     )
     with _writing(args.out):
-        # export_csv hands its path to open(), which takes a descriptor as well.
         experiments.export_csv(records, _target(args, "out"))
     _emit(experiments.study_summary(args.study, records, reg, fixed), args, "summary")
     return EXIT_OK

@@ -276,8 +276,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def export_csv(records: Sequence[TrialRecord], path: Union[str, Path]) -> None:
-    """Write trials ordered by index; floats keep full repr precision."""
+def export_csv(records: Sequence[TrialRecord], path: Union[str, Path, int]) -> None:
+    """Write trials ordered by index; floats keep full repr precision.
+
+    ``path`` is a path or an open file descriptor, as ``open()`` takes; a
+    descriptor is closed once the file is written.
+    """
     ordered = sorted(records, key=lambda r: r.trial_index)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

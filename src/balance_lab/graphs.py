@@ -7,13 +7,13 @@ contiguously re-indexed internally but carry the original ids in ``labels``
 so worked examples keep their node names.
 
 Both graph types store bit masks per position, positions following the
-sorted node ids.  A matrix stores sign masks, which the edge-list parser
-writes straight from its tokens (one built from rows keeps the rows);
-``_link_masks`` is the one place where they are transposed.  A skeleton
-stores one neighbour mask per position and nothing else.  Every other
-form, ``rows`` and ``edges`` included, is a view built once, on first use,
-and shared with every analysis.  ``_make``, each type's one unchecked
-constructor, takes the masks.
+sorted node ids, and nothing else.  A matrix stores its sign masks, which
+the edge-list parser writes straight from its tokens and the checked
+constructor reads off the rows it checks; ``_link_masks`` is the one place
+where they are transposed.  A skeleton stores one neighbour mask per
+position.  Every other form, ``rows`` and ``edges`` included, is a view
+built once, on first use, and shared with every analysis.  ``_make``, each
+type's one unchecked constructor, takes the masks.
 
 All types are immutable values after construction and safe to share across
 workers.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress
-from operator import eq, or_
+from operator import eq, index, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -52,6 +52,14 @@ class EdgeListError(ValueError):
 
 def _default_labels(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
+
+
+def _int_ids(values: Iterable) -> tuple[int, ...] | None:
+    """``values`` as exact ints, or None if one is not an integer (``1.5``, ``1.0``, ``"1"``)."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return None
 
 
 def _check_node_count(n: int) -> None:
@@ -148,12 +156,12 @@ def _triangle_walk(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
 
 def _check_link(n: int, i: int, j: int, s: int, seen: set[tuple[int, int]]) -> None:
     """Refuse one ``(i, j, s)`` link on nodes ``1..n``; records it in ``seen``."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"node id out of range: ({i}, {j}) with n={n}")
+    if _int_ids((i, j)) is None or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"node id out of range: ({i!r}, {j!r}) with n={n}")
     if i == j:
         raise ValueError(f"self-loop not allowed: ({i}, {j})")
     if s not in (-1, 1):
-        raise ValueError(f"sign must be -1 or 1, got {s}")
+        raise ValueError(f"sign must be -1 or 1, got {s!r}")
     if (i, j) in seen:
         raise ValueError(f"duplicate ordered pair ({i}, {j})")
     seen.add((i, j))
@@ -204,31 +212,25 @@ class AppraisalMatrix(_Graph):
     is set when ``a`` appraises ``b`` at +1 (-1).  The incoming masks
     (``_incoming``) and the either-sign view (``_masks``) are built from them
     on first use, so the static analyses cost by links and triangles.
-    ``rows``, the dense tuple of row tuples, is a view too: a matrix built
-    from rows keeps them and reads its masks off them on first use, and one
-    built from links builds ``rows`` only when asked.
-    Construction from rows checks every entry with C-level row operations.
-    It converts entries with ``int`` unless one type scan finds ``rows``
-    already a tuple of tuples of exact ints.  Immutable, compared and hashed
-    by ``(_signs, labels)``, and equal only to another ``AppraisalMatrix``;
-    not a tuple, so ``len`` of a matrix is an error rather than 2.
+    ``rows``, the dense tuple of row tuples, is a view too, built only when
+    asked.  Construction from rows checks every entry as given, with C-level
+    row operations, and stores only the masks: a value equal to -1, 0 or 1
+    (``1.0``, ``True``) reads as that value, and any other (``1.5``, ``"1"``,
+    ``nan``) is refused, never rounded.  Labels must be integers.
+    Immutable, compared and hashed by ``(_signs, labels)``, and equal only
+    to another ``AppraisalMatrix``; not a tuple, so ``len`` of a matrix is
+    an error rather than 2.
     """
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[int, ...] = ()):
-        if (
-            type(rows) is not tuple
-            or set(map(type, rows)) != {tuple}
-            or set(map(type, chain.from_iterable(rows))) != {int}
-        ):
-            rows = tuple(tuple(map(int, row)) for row in rows)
+    def __init__(self, rows: Sequence[Sequence[int]], labels: tuple[int, ...] = ()):
         n = len(rows)
-        labels = tuple(map(int, labels or _default_labels(n)))
-        if len(labels) != n:
-            raise ValueError("labels length must match matrix size")
-        if (labels and labels[0] < 1) or any(
+        labels = _int_ids(labels or _default_labels(n))
+        if labels is None or (labels and labels[0] < 1) or any(
             b <= a for a, b in zip(labels, labels[1:])
         ):
             raise ValueError("labels must be strictly increasing positive integers")
+        if len(labels) != n:
+            raise ValueError("labels length must match matrix size")
         for a, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("appraisal matrix must be square")
@@ -236,8 +238,8 @@ class AppraisalMatrix(_Graph):
                 raise ValueError(f"diagonal entry for node {labels[a]} must be 0")
             if not _TERNARY.issuperset(row):
                 v = next(v for v in row if v not in _TERNARY)
-                raise ValueError(f"appraisal values must be -1, 0 or 1, got {v}")
-        vars(self).update(rows=rows, labels=labels)
+                raise ValueError(f"appraisal values must be -1, 0 or 1, got {v!r}")
+        vars(self).update(labels=labels, _signs=_row_signs(rows))
 
     @classmethod
     def _make(
@@ -270,10 +272,6 @@ class AppraisalMatrix(_Graph):
                 row[low.bit_length() - 1] = -1 if minus & low else 1
             grid.append(tuple(row))
         return tuple(grid)
-
-    @cached_property
-    def _signs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _row_signs(self.rows)
 
     @cached_property
     def _incoming(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -336,22 +334,11 @@ class AppraisalMatrix(_Graph):
         a, b = self.index_of(i), self.index_of(j)
         rows = [list(r) for r in self.rows]
         rows[a][b] = value
-        return AppraisalMatrix(tuple(tuple(r) for r in rows), self.labels)
+        return AppraisalMatrix(rows, self.labels)
 
     def nonzero_links(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(i, j, sign)`` for every nonzero entry, in label order.
-
-        Read off the rows when the matrix holds them, which is several times
-        faster than building masks, and off the sign masks otherwise.
-        """
+        """Yield ``(i, j, sign)`` for every nonzero entry, in label order."""
         labels = self.labels
-        rows = vars(self).get("rows")
-        if rows is not None:
-            positions = range(len(labels))
-            for i, row in zip(labels, rows):
-                for b in compress(positions, row):
-                    yield i, labels[b], row[b]
-            return
         for i, plus, minus in zip(labels, *self._signs):
             for b in _positions(plus | minus):
                 yield i, labels[b], -1 if minus >> b & 1 else 1
@@ -374,9 +361,10 @@ class UndirectedSkeleton(_Graph):
     """
 
     def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]] = frozenset()):
-        nodes = tuple(sorted({int(v) for v in nodes}))
-        if nodes and nodes[0] < 1:
+        nodes = _int_ids(nodes)
+        if nodes is None or min(nodes, default=1) < 1:
             raise ValueError("node ids must be positive integers")
+        nodes = tuple(sorted(set(nodes)))
         pos = dict(zip(nodes, range(len(nodes))))
         masks = [0] * len(nodes)
         for e in edges:
@@ -627,9 +615,14 @@ def format_edge_list(x: AppraisalMatrix) -> str:
     """Serialize to the edge-list format, entries sorted by (i, j)."""
     if x.labels != _default_labels(x.n):
         raise ValueError("edge-list format requires contiguous node ids 1..n")
+    # Positions follow the labels 1..n, so walking them in order is (i, j) order.
+    texts = list(map(str, x.labels))
     lines = [f"n {x.n}"]
-    for i, j, s in sorted(x.nonzero_links()):
-        lines.append(f"{i} {j} {s}")
+    for head, plus, minus in zip(texts, *x._signs):
+        head += " "
+        lines += [
+            head + texts[b] + (" -1" if minus >> b & 1 else " 1") for b in _positions(plus | minus)
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import random
 import subprocess
 import sys
@@ -389,6 +390,15 @@ class TestExportCsv:
             assert int(row["n_triad"]) == rec.n_triad
             assert int(row["steps"]) == rec.steps
             assert row["absorbed"] == ("1" if rec.absorbed else "0")
+
+    def test_a_path_and_a_descriptor_give_the_same_bytes(self, tmp_path):
+        records, _ = run_study(5, 0.4, None, 6, master_seed=113)
+        export_csv(records, tmp_path / "by-path.csv")
+        fd = os.open(tmp_path / "by-fd.csv", os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        export_csv(records, fd)
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        assert (tmp_path / "by-fd.csv").read_bytes() == (tmp_path / "by-path.csv").read_bytes()
 
     def test_undefined_cells_written_empty(self, tmp_path):
         records, _ = run_study(4, 0.0, None, 3, master_seed=112)

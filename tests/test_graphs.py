@@ -90,6 +90,19 @@ class TestConstruction:
         # The first offending value in row order is the one reported.
         with pytest.raises(ValueError, match="got 3$"):
             AppraisalMatrix.from_rows([(0, 1, 3, 2), (-2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)])
+        # Entries are checked as given, never rounded into range first.
+        for bad in (1.5, 0.7, -1.9, "1", float("nan")):
+            with pytest.raises(ValueError) as caught:
+                AppraisalMatrix(((0, bad), (0, 0)))
+            assert str(caught.value) == f"appraisal values must be -1, 0 or 1, got {bad!r}"
+            with pytest.raises(ValueError, match="-1, 0 or 1"):
+                AppraisalMatrix.zeros(2).with_entry(1, 2, bad)
+        # A value equal to -1, 0 or 1 reads as that value.
+        for one in (1.0, True):
+            x = AppraisalMatrix(((0, one, -one), (0, 0, 0), (0, 0, 0)))
+            assert x == AppraisalMatrix(((0, 1, -1), (0, 0, 0), (0, 0, 0)))
+            assert x.rows == ((0, 1, -1), (0, 0, 0), (0, 0, 0)) and x.entry(1, 2) == 1
+            assert AppraisalMatrix.zeros(2).with_entry(1, 2, one).entry(1, 2) == 1
 
     @pytest.mark.parametrize("n", [NODE_LIMIT + 1, 10**20])
     def test_node_count_over_the_ceiling_is_refused_before_any_grid(self, n):
@@ -360,6 +373,21 @@ class TestEdgeListFormat:
         write_edge_list(x, path)
         assert read_edge_list(path) == x
 
+    def test_format_writes_the_header_and_the_sorted_links(self):
+        rng = random.Random("format-oracle")
+        drawn = [varied_matrix(rng, kind).rows for kind in MATRIX_KINDS for _ in range(30)]
+        all_negative = [[-int(a != b) for b in range(5)] for a in range(5)]
+        shown = {"one node": 0, "no links": 0, "all negative": 0}
+        for rows in drawn + [((0,),), ((0, 0), (0, 0)), all_negative]:
+            n = len(rows)
+            links = [(a + 1, b + 1, v) for a, row in enumerate(rows) for b, v in enumerate(row) if v]
+            expected = f"n {n}\n" + "".join(f"{i} {j} {s}\n" for i, j, s in sorted(links))
+            assert format_edge_list(AppraisalMatrix(rows)) == expected
+            shown["one node"] += n == 1
+            shown["no links"] += not links
+            shown["all negative"] += n > 1 and len(links) == n * (n - 1) and all(s < 0 for *_, s in links)
+        assert min(shown.values()) >= 1, shown
+
     def test_comments_and_blanks_ignored(self):
         x = parse_edge_list("# a comment\n\nn 2\n# another\n1 2 -1\n")
         assert x.entry(1, 2) == -1
@@ -546,7 +574,7 @@ class TestSignMaskStorage:
                 _, (plus, minus) = masks_by_row_scan(x.rows)
                 from_masks = AppraisalMatrix._make(x.labels, (plus, minus))
                 from_rows = AppraisalMatrix(x.rows, x.labels)
-                assert "rows" not in vars(from_masks) and "_signs" not in vars(from_rows)
+                assert "rows" not in vars(from_masks) and "rows" not in vars(from_rows)
                 assert from_rows == from_masks and from_masks == from_rows
                 assert hash(from_rows) == hash(from_masks) and len({from_rows, from_masks}) == 1
                 assert from_masks.rows == x.rows and repr(from_masks) == repr(x)
@@ -734,7 +762,7 @@ def test_from_edges_takes_explicit_ids_beyond_the_ceiling():
 
 class TestEntryConversion:
     def test_list_rows_and_bool_entries_become_tuples_of_ints(self):
-        # Rows that are not a tuple of tuples of exact ints go through ``int``.
+        # Whatever the row and entry types, the ``rows`` view holds tuples of ints.
         for rows in ([[0, 1], [-1, 0]], ((0, True), (-1, False)), [(0, 1), (-1, 0)]):
             x = AppraisalMatrix(rows)
             assert x.rows == ((0, 1), (-1, 0)), rows
@@ -759,10 +787,17 @@ _SKELETON = UndirectedSkeleton.from_edges(3, [(1, 2), (2, 3)])
          "labels must be strictly increasing positive integers"),
         (lambda: AppraisalMatrix(((0, 0), (0, 0)), (0, 1)), ValueError,
          "labels must be strictly increasing positive integers"),
+        (lambda: AppraisalMatrix(((0, 0), (0, 0)), (1.5, 2.7)), ValueError,
+         "labels must be strictly increasing positive integers"),
         (lambda: AppraisalMatrix(((0, 0), (0,))), ValueError, "appraisal matrix must be square"),
+        (lambda: AppraisalMatrix.from_edge_list(2, [(1.0, 2, 1)]), ValueError,
+         "node id out of range: (1.0, 2) with n=2"),
+        (lambda: AppraisalMatrix.from_edge_list(2, [(1, "2", 1)]), ValueError,
+         "node id out of range: (1, '2') with n=2"),
         (lambda: AppraisalMatrix.zeros(3).with_entry(2, 2, 1), ValueError,
          "diagonal entries are fixed at 0"),
         (lambda: UndirectedSkeleton((0, 1, 2)), ValueError, "node ids must be positive integers"),
+        (lambda: UndirectedSkeleton((1.5, 2.5)), ValueError, "node ids must be positive integers"),
         (lambda: UndirectedSkeleton((1, 2), frozenset({(2, 2)})), ValueError,
          "self-pair not allowed: (2, 2)"),
         (lambda: UndirectedSkeleton((1, 2), frozenset({(1, 3)})), ValueError,
@@ -777,8 +812,9 @@ _SKELETON = UndirectedSkeleton.from_edges(3, [(1, 2), (2, 3)])
     ],
     ids=[
         "matrix-list-rows-bad-value", "matrix-label-count", "matrix-repeated-label",
-        "matrix-decreasing-labels", "matrix-zero-label", "matrix-non-square",
-        "with-entry-diagonal", "skeleton-zero-id", "skeleton-self-pair",
+        "matrix-decreasing-labels", "matrix-zero-label", "matrix-float-labels", "matrix-non-square",
+        "from-edge-list-float-id", "from-edge-list-str-id",
+        "with-entry-diagonal", "skeleton-zero-id", "skeleton-float-ids", "skeleton-self-pair",
         "skeleton-outside-endpoint", "skeleton-unknown-neighbors", "induced-matrix-missing",
         "induced-skeleton-missing", "induced-other-type", "edge-list-bad-node-count",
     ],
