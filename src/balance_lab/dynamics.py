@@ -27,7 +27,10 @@ flat however long the run.
 Deterministic constructive sequences reach absorption from any start by
 symmetrizing the zero pattern and then applying one legal fix at a time,
 each re-validated against the step preconditions, driving a
-count-of-negatives potential strictly down.
+count-of-negatives potential strictly down.  They read their pairs off the
+start matrix's sign masks and find each fix by a walk over the masks of
+the negative pairs, so F fixes cost O(F (n + m)) for m links; only the
+dense rows copy they update and the literal end check cost n^2.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ import random
 from collections import namedtuple
 from typing import Callable, Optional, TextIO
 
-from .graphs import AppraisalMatrix, _checked_replace, _linked_pairs, _row_signs, _skeleton_masks
+from .graphs import (
+    AppraisalMatrix,
+    _checked_replace,
+    _linked_pairs,
+    _positions,
+    _row_signs,
+    _skeleton_masks,
+)
 from .rng import stream
 
 SYMMETRY = "symmetry"
@@ -216,10 +226,6 @@ class AbsorptionRecord(
 # ---------------------------------------------------------------------------
 
 
-def _row_lists(x: AppraisalMatrix) -> list[list[int]]:
-    return [list(r) for r in x.rows]
-
-
 def _freeze(rows: list[list[int]], labels: tuple[int, ...]) -> AppraisalMatrix:
     # Every update writes -1, 0 or 1 off the diagonal: no check.  The result
     # stores sign masks; its ``rows`` view, which equilibrium checks read, is
@@ -277,7 +283,7 @@ class _Kernel:
                  "bad_pairs", "bad_tris", "bad_links")
 
     def __init__(self, x: AppraisalMatrix, y: Optional[tuple[int, ...]] = None):
-        rows, n = _row_lists(x), x.n
+        rows, n = [list(r) for r in x.rows], x.n
         linked = list(_linked_pairs(_skeleton_masks(x)))
         pos, neg = [0] * n, [0] * n
         bad_pairs = 0
@@ -561,17 +567,29 @@ def _step(x, y, params, rng, step) -> tuple[AppraisalMatrix, Optional[tuple], Up
 def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
     """The body of both constructive sequences (``y0`` None for SIH).
 
-    Phase 1 copies the nonzero side of every half-directed pair (symmetry);
-    fixes never create new half pairs, so one sweep suffices.  Phase 2
-    applies, until none is left, the minus side of the first (-1, +1) pair
-    by symmetry, or else ``next_fix(rows, y, n)``: an update
-    ``(i, j, mechanism, k, new)`` or None.  Every update is re-validated
-    against the step preconditions before it is recorded and written, and
-    the end state must pass the process's definition-literal equilibrium check.
+    Every pair comes from a walk over sign masks, never from a scan of the
+    n^2 pairs.  Phase 1 copies the nonzero side of every half-directed pair
+    (symmetry), walking ``into & ~out`` row by row.  Phase 2 first flips the
+    minus side of every (-1, +1) pair (symmetry), walking
+    ``minus & in_plus``.  Neither walk creates work for the other, so both
+    are read off ``x0``'s masks up front.  The matrix is then
+    sign-symmetric: ``adj`` holds its links, which no later update changes,
+    and ``enemies`` its negative pairs, one mask per position.  Phase 2 goes
+    on with ``next_fix(enemies, adj, y)``, an update
+    ``(i, j, mechanism, k, new)``, until that returns None.  A fix that
+    flips X_ij of a (-1, -1) pair leaves (j, i) the only (-1, +1) pair, so
+    the symmetry flip of X_ji follows at once and the pair leaves
+    ``enemies``: every call sees a sign-symmetric matrix.  These are the
+    updates, in the same order, that a rescan for the first (-1, +1) pair
+    before each fix would make.  Every update is re-validated against the
+    step preconditions before it is recorded and written to the dense
+    ``rows`` copy, and the end state must pass the process's
+    definition-literal equilibrium check.
     """
-    rows = _row_lists(x0)
+    rows = [list(r) for r in x0.rows]
     y = None if y0 is None else list(y0)
-    n, labels = x0.n, x0.labels
+    labels = x0.labels
+    signs = list(zip(*x0._signs, *x0._incoming))
     events: list[UpdateEvent] = []
 
     def apply(i: int, j: int, mech: str, k: Optional[int], new: int) -> None:
@@ -588,24 +606,24 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
         else:
             rows[i][j] = new
 
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] == 0 and rows[j][i] != 0:
+    # Per position: plus, minus, in_plus, in_minus.  Both phases' masks are
+    # read before either applies an update.
+    for phase in (
+        [(ip | im) & ~(p | m) for p, m, ip, im in signs],
+        [m & ip for p, m, ip, im in signs],
+    ):
+        for i, mask in enumerate(phase):
+            for j in _positions(mask):
                 apply(i, j, SYMMETRY, None, rows[j][i])
 
-    while True:
-        fix = next(
-            (
-                (i, j, SYMMETRY, None, 1)
-                for i in range(n)
-                for j in range(n)
-                if i != j and rows[i][j] == -1 and rows[j][i] == 1
-            ),
-            None,
-        ) or next_fix(rows, y, n)
-        if fix is None:
-            break
-        apply(*fix)
+    adj = _skeleton_masks(x0)
+    enemies = [(m | im) & ~(p | ip) for p, m, ip, im in signs]
+    for i, j, mech, k, new in iter(lambda: next_fix(enemies, adj, y), None):
+        apply(i, j, mech, k, new)
+        if mech != OPINION_GOSSIP:
+            apply(j, i, SYMMETRY, None, new)
+            enemies[i] &= ~(1 << j)
+            enemies[j] &= ~(1 << i)
 
     final_x = _freeze(rows, labels)
     final_y = None if y is None else tuple(y)
@@ -703,17 +721,15 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
     return _constructive(x0, None, _sih_fix)
 
 
-def _sih_fix(rows, y, n):
+def _sih_fix(enemies, adj, y):
     # On a sign-symmetric matrix: one direction of a negative pair whose
-    # common neighbor has agreeing pair signs, flipped by homophily.
+    # common neighbor has agreeing pair signs, flipped by homophily.  The
+    # pair comes first in row-major order, then the lowest such neighbor.
     return next(
         (
             (i, j, HOMOPHILY, k, 1)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rows[i][j] == -1 and rows[j][i] == -1
-            for k in range(n)
-            if k != i and k != j and rows[i][k] * rows[j][k] == 1
+            for i, j in _linked_pairs(enemies)
+            for k in _positions(adj[i] & adj[j] & ~(enemies[i] ^ enemies[j]))
         ),
         None,
     )
@@ -787,22 +803,25 @@ def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
     return _constructive(state0.x, state0.y, _sioh_fix)
 
 
-def _sioh_fix(rows, y, n):
-    # A negative link between agreeing opinions, by person-opinion
-    # homophily; else a positive link from a -1 toward a +1 opinion, by gossip.
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+def _sioh_fix(enemies, adj, y):
+    # On a sign-symmetric matrix: a negative link between agreeing opinions,
+    # by person-opinion homophily; else a positive link from a -1 toward a
+    # +1 opinion, by gossip; each the first in row-major order.  ``up`` has
+    # bit a set when y_a is +1.
+    up = sum(1 << a for a, v in enumerate(y) if v > 0)
     return next(
         (
             (i, j, PERSON_OPINION_HOMOPHILY, None, 1)
-            for i, j in pairs
-            if rows[i][j] == -1 and y[i] * y[j] == 1
+            for i, v in enumerate(y)
+            for j in _positions(enemies[i] & (up if v > 0 else ~up))
         ),
         None,
     ) or next(
         (
             (i, j, OPINION_GOSSIP, None, 1)
-            for i, j in pairs
-            if rows[i][j] == 1 and y[i] == -1 and y[j] == 1
+            for i, v in enumerate(y)
+            if v < 0
+            for j in _positions(adj[i] & ~enemies[i] & up)
         ),
         None,
     )

@@ -328,13 +328,19 @@ class AppraisalMatrix(_Graph):
         return (plus[a] >> b & 1) - (minus[a] >> b & 1)
 
     def with_entry(self, i: int, j: int, value: int) -> "AppraisalMatrix":
-        """A copy with one entry replaced."""
+        """A copy with one entry replaced: one bit of each sign mask set or cleared.
+
+        ``value`` is checked as the constructor checks an entry.
+        """
         if i == j:
             raise ValueError("diagonal entries are fixed at 0")
         a, b = self.index_of(i), self.index_of(j)
-        rows = [list(r) for r in self.rows]
-        rows[a][b] = value
-        return AppraisalMatrix(rows, self.labels)
+        if value not in _TERNARY:
+            raise ValueError(f"appraisal values must be -1, 0 or 1, got {value!r}")
+        plus, minus = map(list, self._signs)
+        plus[a] = plus[a] & ~(1 << b) | (value > 0) << b
+        minus[a] = minus[a] & ~(1 << b) | (value < 0) << b
+        return AppraisalMatrix._make(self.labels, (tuple(plus), tuple(minus)))
 
     def nonzero_links(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(i, j, sign)`` for every nonzero entry, in label order."""

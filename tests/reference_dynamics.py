@@ -3,11 +3,16 @@
 This is the simulation code the bitset kernel in ``balance_lab.dynamics``
 replaced: common neighbors come from a row scan, the violation ledgers
 rescan O(n) entries per write, and the step functions rebuild everything
-per call.  It must not change.  ``tests/test_dynamics_kernel.py`` asserts
-that the kernel gives the same records and events on random inputs.
+per call.  The dense constructive sequences below rescan every ordered
+pair before each fix; the library's mask walks replaced them.  It must not
+change.  ``tests/test_dynamics_kernel.py`` asserts that the kernel gives
+the same records and events on random inputs, and
+``tests/test_dynamics.py`` that the constructive sequences do.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from balance_lab.dynamics import (
     HOMOPHILY,
@@ -18,6 +23,8 @@ from balance_lab.dynamics import (
     AbsorptionRecord,
     SiohState,
     UpdateEvent,
+    _equilibrium,
+    _require_legal,
 )
 from balance_lab.graphs import AppraisalMatrix
 from balance_lab.rng import stream
@@ -289,4 +296,128 @@ def run_sioh(state0, params, seed, max_steps=10**6, log=False):
                 break
     return AbsorptionRecord(
         absorbed, t, _freeze(rows, labels), tuple(y), tuple(events) if events is not None else None
+    )
+
+
+# The dense constructive engine the mask walks replaced: it rescans every
+# ordered pair before each fix.
+
+
+def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
+    """The body of both constructive sequences (``y0`` None for SIH).
+
+    Phase 1 copies the nonzero side of every half-directed pair (symmetry);
+    fixes never create new half pairs, so one sweep suffices.  Phase 2
+    applies, until none is left, the minus side of the first (-1, +1) pair
+    by symmetry, or else ``next_fix(rows, y, n)``: an update
+    ``(i, j, mechanism, k, new)`` or None.  Every update is re-validated
+    against the step preconditions before it is recorded and written, and
+    the end state must pass the process's definition-literal equilibrium check.
+    """
+    rows = _row_lists(x0)
+    y = None if y0 is None else list(y0)
+    n, labels = x0.n, x0.labels
+    events: list[UpdateEvent] = []
+
+    def apply(i: int, j: int, mech: str, k: Optional[int], new: int) -> None:
+        _require_legal(rows, y, i, j, mech, k, new)
+        gossip = mech == OPINION_GOSSIP
+        events.append(
+            UpdateEvent(
+                len(events), labels[i], labels[j], mech, None if k is None else labels[k],
+                y[i] if gossip else rows[i][j], new,
+            )
+        )
+        if gossip:
+            y[i] = new
+        else:
+            rows[i][j] = new
+
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] == 0 and rows[j][i] != 0:
+                apply(i, j, SYMMETRY, None, rows[j][i])
+
+    while True:
+        fix = next(
+            (
+                (i, j, SYMMETRY, None, 1)
+                for i in range(n)
+                for j in range(n)
+                if i != j and rows[i][j] == -1 and rows[j][i] == 1
+            ),
+            None,
+        ) or next_fix(rows, y, n)
+        if fix is None:
+            break
+        apply(*fix)
+
+    final_x = _freeze(rows, labels)
+    final_y = None if y is None else tuple(y)
+    if not _equilibrium(final_x, final_y):
+        ended = "unbalanced" if y is None else "unaligned"
+        raise RuntimeError(f"internal error: constructive sequence ended {ended}")
+    return AbsorptionRecord(True, len(events), final_x, final_y, tuple(events))
+
+
+def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
+    """Deterministic legal-update sequence reaching triad-wise balance.
+
+    Phase 1 copies the nonzero side of every half-directed pair (symmetry),
+    making the matrix bilateral.  Phase 2 repeatedly flips one negative
+    entry to +1: either the minus side of a (-1, +1) pair via symmetry, or
+    one direction of a negative symmetric pair sitting in an unbalanced
+    triangle via homophily through a common neighbor whose pair signs
+    agree.  Each phase-2 flip lowers the negative-entry count by exactly
+    one, so the sequence terminates in fewer than n(n-1) phase-2 steps.
+    """
+    return _constructive(x0, None, _sih_fix)
+
+
+def _sih_fix(rows, y, n):
+    # On a sign-symmetric matrix: one direction of a negative pair whose
+    # common neighbor has agreeing pair signs, flipped by homophily.
+    return next(
+        (
+            (i, j, HOMOPHILY, k, 1)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rows[i][j] == -1 and rows[j][i] == -1
+            for k in range(n)
+            if k != i and k != j and rows[i][k] * rows[j][k] == 1
+        ),
+        None,
+    )
+
+
+def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
+    """Deterministic legal-update sequence reaching an SIOH equilibrium.
+
+    After symmetrizing the zero pattern, repeatedly fix, in order: a
+    (-1, +1) pair by symmetry; a negative link between agreeing opinions by
+    person-opinion homophily; a positive link from a -1 opinion toward a +1
+    opinion by opinion gossip.  Each fix lowers the combined count of
+    negative entries and negative opinions by exactly one.
+    """
+    return _constructive(state0.x, state0.y, _sioh_fix)
+
+
+def _sioh_fix(rows, y, n):
+    # A negative link between agreeing opinions, by person-opinion
+    # homophily; else a positive link from a -1 toward a +1 opinion, by gossip.
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return next(
+        (
+            (i, j, PERSON_OPINION_HOMOPHILY, None, 1)
+            for i, j in pairs
+            if rows[i][j] == -1 and y[i] * y[j] == 1
+        ),
+        None,
+    ) or next(
+        (
+            (i, j, OPINION_GOSSIP, None, 1)
+            for i, j in pairs
+            if rows[i][j] == 1 and y[i] == -1 and y[j] == 1
+        ),
+        None,
     )

@@ -31,8 +31,9 @@ from balance_lab.dynamics import (
     sih_step,
     sioh_step,
 )
-from balance_lab.graphs import AppraisalMatrix, is_bilateral, skeleton
+from balance_lab.graphs import AppraisalMatrix, induced_subgraph, is_bilateral, skeleton
 
+import reference_dynamics as ref
 from conftest import random_matrix, random_symmetric_matrix
 
 
@@ -673,6 +674,51 @@ class TestConstructiveSioh:
             )
 
 
+class TestConstructiveMatchesReference:
+    """The mask-walk sequences give the dense rescanning engine's records.
+
+    ``reference_dynamics`` keeps that engine; the whole AbsorptionRecord,
+    events and final state included, must be the same.
+    """
+
+    @staticmethod
+    def assert_same(x0, y0):
+        assert constructive_sih_sequence(x0) == ref.constructive_sih_sequence(x0)
+        state0 = SiohState(x0, y0)
+        assert constructive_sioh_sequence(state0) == ref.constructive_sioh_sequence(state0)
+
+    def test_every_three_node_state(self):
+        offdiagonal = [(a, b) for a in range(3) for b in range(3) if a != b]
+        for values in itertools.product((-1, 0, 1), repeat=6):
+            rows = [[0] * 3 for _ in range(3)]
+            for (a, b), v in zip(offdiagonal, values):
+                rows[a][b] = v
+            x0 = AppraisalMatrix.from_rows(rows)
+            assert constructive_sih_sequence(x0) == ref.constructive_sih_sequence(x0)
+            for y0 in itertools.product((-1, 1), repeat=3):
+                state0 = SiohState(x0, y0)
+                assert constructive_sioh_sequence(state0) == ref.constructive_sioh_sequence(state0)
+
+    def test_random_states(self):
+        # Every third state keeps a random subset of its nodes, so labels skip ids.
+        rng = random.Random(2611)
+        for case in range(500):
+            x0 = random_matrix(rng, rng.randrange(1, 17), p_nonzero=rng.random())
+            if case % 3 == 0:
+                x0 = induced_subgraph(x0, rng.sample(x0.labels, rng.randrange(1, x0.n + 1)))
+            self.assert_same(x0, tuple(rng.choice((-1, 1)) for _ in range(x0.n)))
+
+    def test_sparse_input_built_like_the_ci_file(self):
+        # 375 random pairs on 256 nodes linked both ways, each direction's sign
+        # drawn on its own, two positive to one negative.
+        n, rng = 256, random.Random(256)
+        pairs = sorted({tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(381)})[:375]
+        x0 = AppraisalMatrix.from_edge_list(
+            n, [(i, j, rng.choice((1, 1, -1))) for i, j in sorted(pairs + [(b, a) for a, b in pairs])]
+        )
+        self.assert_same(x0, tuple(rng.choice((-1, 1)) for _ in range(n)))
+
+
 class TestRequireLegal:
     """The constructive sequences re-validate every update they build."""
 
@@ -723,17 +769,17 @@ class TestRequireLegal:
         # Influence through k = i: the pair's own endpoint is no common neighbor.
         with pytest.raises(RuntimeError, match="common neighbor"):
             dynamics._constructive(
-                ALL_NEGATIVE_TRIANGLE, None, lambda rows, y, n: (0, 1, INFLUENCE, 0, 1)
+                ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, y: (0, 1, INFLUENCE, 0, 1)
             )
 
     def test_constructive_sih_that_stops_short_raises(self):
         with pytest.raises(RuntimeError, match="ended unbalanced"):
-            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda rows, y, n: None)
+            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, y: None)
 
     def test_constructive_sioh_that_stops_short_raises(self):
         x = symmetric(2, [(1, 2, -1)])
         with pytest.raises(RuntimeError, match="ended unaligned"):
-            dynamics._constructive(x, (1, 1), lambda rows, y, n: None)
+            dynamics._constructive(x, (1, 1), lambda enemies, adj, y: None)
 
 
 class TestPotentials:

@@ -95,8 +95,9 @@ class TestConstruction:
             with pytest.raises(ValueError) as caught:
                 AppraisalMatrix(((0, bad), (0, 0)))
             assert str(caught.value) == f"appraisal values must be -1, 0 or 1, got {bad!r}"
-            with pytest.raises(ValueError, match="-1, 0 or 1"):
+            with pytest.raises(ValueError) as edited:
                 AppraisalMatrix.zeros(2).with_entry(1, 2, bad)
+            assert str(edited.value) == str(caught.value)
         # A value equal to -1, 0 or 1 reads as that value.
         for one in (1.0, True):
             x = AppraisalMatrix(((0, one, -one), (0, 0, 0), (0, 0, 0)))
@@ -597,11 +598,20 @@ class TestSignMaskStorage:
                 continue
             i, j = rng.sample(x.labels, 2)
             value = rng.choice((-1, 0, 1))
+            changed = x.with_entry(i, j, value)
+            # The edit sets or clears mask bits; neither matrix builds its rows view.
+            assert "rows" not in vars(x) and "rows" not in vars(changed)
             rows = [list(r) for r in x.rows]
             rows[x.index_of(i)][x.index_of(j)] = value
-            changed = x.with_entry(i, j, value)
             assert changed == AppraisalMatrix.from_rows(rows, x.labels)
             assert changed.entry(i, j) == value and changed.rows == tuple(map(tuple, rows))
+
+    def test_with_entry_at_the_node_limit_builds_no_rows_view(self):
+        n = NODE_LIMIT
+        x = AppraisalMatrix.from_edge_list(n, [(1, n, -1), (n, 1, 1), (7, 9, 1)])
+        edited = x.with_entry(n, 1, -1).with_entry(7, 9, 0).with_entry(2, 3, 1)
+        assert "rows" not in vars(x) and "rows" not in vars(edited)
+        assert edited == AppraisalMatrix.from_edge_list(n, [(1, n, -1), (n, 1, -1), (2, 3, 1)])
 
 
 def masks_by_pair_loop(nodes, pairs):
@@ -796,6 +806,9 @@ _SKELETON = UndirectedSkeleton.from_edges(3, [(1, 2), (2, 3)])
          "node id out of range: (1, '2') with n=2"),
         (lambda: AppraisalMatrix.zeros(3).with_entry(2, 2, 1), ValueError,
          "diagonal entries are fixed at 0"),
+        (lambda: AppraisalMatrix.zeros(3).with_entry(2, 5, 1), ValueError, "node 5 not in matrix"),
+        (lambda: AppraisalMatrix.zeros(3).with_entry(2, 3, 2), ValueError,
+         "appraisal values must be -1, 0 or 1, got 2"),
         (lambda: UndirectedSkeleton((0, 1, 2)), ValueError, "node ids must be positive integers"),
         (lambda: UndirectedSkeleton((1.5, 2.5)), ValueError, "node ids must be positive integers"),
         (lambda: UndirectedSkeleton((1, 2), frozenset({(2, 2)})), ValueError,
@@ -809,14 +822,18 @@ _SKELETON = UndirectedSkeleton.from_edges(3, [(1, 2), (2, 3)])
         (lambda: induced_subgraph([[0, 1], [1, 0]], [1]), TypeError, "unsupported graph type: list"),
         (lambda: parse_edge_list("# header next\nn x\n1 2 1\n"), EdgeListError,
          "line 2: bad node count 'x'"),
+        (lambda: parse_edge_list("n 2\n1 x 1\n"), EdgeListError,
+         "line 2: non-integer field in '1 x 1'"),
     ],
     ids=[
         "matrix-list-rows-bad-value", "matrix-label-count", "matrix-repeated-label",
         "matrix-decreasing-labels", "matrix-zero-label", "matrix-float-labels", "matrix-non-square",
         "from-edge-list-float-id", "from-edge-list-str-id",
-        "with-entry-diagonal", "skeleton-zero-id", "skeleton-float-ids", "skeleton-self-pair",
+        "with-entry-diagonal", "with-entry-unknown-node", "with-entry-value",
+        "skeleton-zero-id", "skeleton-float-ids", "skeleton-self-pair",
         "skeleton-outside-endpoint", "skeleton-unknown-neighbors", "induced-matrix-missing",
         "induced-skeleton-missing", "induced-other-type", "edge-list-bad-node-count",
+        "edge-list-non-integer-field",
     ],
 )
 def test_refusal_names_its_fault(make, error, message):
