@@ -107,6 +107,12 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+class _JSONText(str):
+    """A value's JSON text, written already at its place in the report."""
+
+    __slots__ = ()
+
+
 # The JSON text of each scalar type, keyed by exact type: bool is not int here.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
@@ -114,6 +120,7 @@ _SCALAR_TEXT = {
     float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda value: "null",
+    _JSONText: str.__str__,
 }
 
 
@@ -121,11 +128,12 @@ def _json_texts(values: list, indent: str) -> list[str]:
     """Each of ``values`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, at ``indent``.
 
     Takes dicts with str keys, lists and the scalars of ``_SCALAR_TEXT``;
-    anything else raises TypeError.  Values of one type are written
-    together, so the work per item is C-level: scalars go through one
-    ``map``, the items of all lists become the next level, and dicts with
-    one key set are written column by column into one template.  Values of
-    mixed types are written one by one.
+    anything else raises TypeError.  A ``_JSONText`` is text already
+    written for its place in the report, and is copied as is.  Values of
+    one type are written together, so the work per item is C-level:
+    scalars go through one ``map``, the items of all lists become the next
+    level, and dicts with one key set are written column by column into one
+    template.  Values of mixed types are written one by one.
     """
     kinds = set(map(type, values))
     if len(kinds) != 1:
@@ -179,7 +187,11 @@ def _emit(payload: dict, args, flag: Optional[str] = None) -> None:
     The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline.  ``_json_texts`` writes it because the standard library
     encodes indented JSON in pure Python, which took 30% of an ``analyze``
-    request; its C encoder serves only compact output.
+    request; its C encoder serves only compact output.  An ``analyze``
+    report's violation list comes in as a ``_JSONText``, written by one
+    template per violation kind, since a dict per violation through
+    ``_json_texts`` cost four times as much, a fifth or more of an n=64
+    request.
     """
     text = _json_texts([payload], "")[0] + "\n"
     out = getattr(args, flag) if flag else None
@@ -304,6 +316,25 @@ def _load_or_generate(args) -> AppraisalMatrix:
 # ---------------------------------------------------------------------------
 
 
+# ``json.dumps``'s text of {"kind": kind, "nodes": list(nodes)} as an item of
+# the ``analyze`` report's ``violations`` list, one template per kind.
+_VIOLATION_TEXT = {
+    kind: '{\n      "kind": ' + encode_basestring_ascii(kind) + ',\n      "nodes": [\n        '
+    + ",\n        ".join(["%d"] * count) + "\n      ]\n    }"
+    for kind, count in ((balance.ASYMMETRIC_PAIR, 2), (balance.NEGATIVE_TRIAD, 3))
+}
+
+
+def _violations_text(violations: list) -> _JSONText:
+    # A report holds about 1,300 violations at n=64; one template per item
+    # writes them four times faster than a dict each through ``_json_texts``.
+    # Node labels are exact ints, so ``%d`` writes their repr.
+    if not violations:
+        return _JSONText("[]")
+    items = ",\n    ".join([_VIOLATION_TEXT[kind] % nodes for kind, nodes in violations])
+    return _JSONText("[\n    " + items + "\n  ]")
+
+
 def cmd_analyze(args) -> int:
     x = _read_input(args.input)
     balanced, violations = balance.is_triad_wise_balanced(x)
@@ -314,9 +345,7 @@ def cmd_analyze(args) -> int:
         "bilateral": is_bilateral(x),
         "sign_symmetric": is_sign_symmetric(x),
         "triad_wise_balanced": balanced,
-        "violations": [
-            {"kind": v.kind, "nodes": list(v.nodes)} for v in violations
-        ],
+        "violations": _violations_text(violations),
         "two_faction": None
         if partition is None
         else {

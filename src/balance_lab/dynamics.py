@@ -574,8 +574,9 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
     ``minus & in_plus``.  Neither walk creates work for the other, so both
     are read off ``x0``'s masks up front.  The matrix is then
     sign-symmetric: ``adj`` holds its links, which no later update changes,
-    and ``enemies`` its negative pairs, one mask per position.  Phase 2 goes
-    on with ``next_fix(enemies, adj, y)``, an update
+    and ``enemies`` its negative pairs, one mask per position; ``up`` has
+    bit a set when y_a is +1 (None for SIH), and only a gossip fix changes
+    it.  Phase 2 goes on with ``next_fix(enemies, adj, up)``, an update
     ``(i, j, mechanism, k, new)``, until that returns None.  A fix that
     flips X_ij of a (-1, -1) pair leaves (j, i) the only (-1, +1) pair, so
     the symmetry flip of X_ji follows at once and the pair leaves
@@ -618,9 +619,12 @@ def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
 
     adj = _skeleton_masks(x0)
     enemies = [(m | im) & ~(p | ip) for p, m, ip, im in signs]
-    for i, j, mech, k, new in iter(lambda: next_fix(enemies, adj, y), None):
+    up = None if y is None else sum(1 << a for a, v in enumerate(y) if v > 0)
+    for i, j, mech, k, new in iter(lambda: next_fix(enemies, adj, up), None):
         apply(i, j, mech, k, new)
-        if mech != OPINION_GOSSIP:
+        if mech == OPINION_GOSSIP:
+            up = up | 1 << i if new > 0 else up & ~(1 << i)
+        else:
             apply(j, i, SYMMETRY, None, new)
             enemies[i] &= ~(1 << j)
             enemies[j] &= ~(1 << i)
@@ -721,7 +725,7 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
     return _constructive(x0, None, _sih_fix)
 
 
-def _sih_fix(enemies, adj, y):
+def _sih_fix(enemies, adj, up):
     # On a sign-symmetric matrix: one direction of a negative pair whose
     # common neighbor has agreeing pair signs, flipped by homophily.  The
     # pair comes first in row-major order, then the lowest such neighbor.
@@ -803,25 +807,26 @@ def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
     return _constructive(state0.x, state0.y, _sioh_fix)
 
 
-def _sioh_fix(enemies, adj, y):
+def _sioh_fix(enemies, adj, up):
     # On a sign-symmetric matrix: a negative link between agreeing opinions,
     # by person-opinion homophily; else a positive link from a -1 toward a
     # +1 opinion, by gossip; each the first in row-major order.  ``up`` has
-    # bit a set when y_a is +1.
-    up = sum(1 << a for a, v in enumerate(y) if v > 0)
+    # bit a set when y_a is +1.  A row whose mask is empty starts no walk.
+    down = ~up
     return next(
         (
             (i, j, PERSON_OPINION_HOMOPHILY, None, 1)
-            for i, v in enumerate(y)
-            for j in _positions(enemies[i] & (up if v > 0 else ~up))
+            for i, mask in enumerate(enemies)
+            if mask
+            for j in _positions(mask & (up if up >> i & 1 else down))
         ),
         None,
     ) or next(
         (
             (i, j, OPINION_GOSSIP, None, 1)
-            for i, v in enumerate(y)
-            if v < 0
-            for j in _positions(adj[i] & ~enemies[i] & up)
+            for i, mask in enumerate(adj)
+            if mask and not up >> i & 1
+            for j in _positions(mask & ~enemies[i] & up)
         ),
         None,
     )

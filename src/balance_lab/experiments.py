@@ -67,7 +67,9 @@ class TrialRecord(
     """One Monte-Carlo trial: generator settings, seed, metrics, outcome.
 
     ``er`` is the ErParams the trial's graph was drawn with; ``c0`` and
-    ``c_inf`` are None when that graph has no links.
+    ``c_inf`` are None when that graph has no links, and ``c_inf`` is None
+    also when the run stopped at ``max_steps`` unabsorbed (censored): it
+    has no final state.
     """
 
     __slots__ = ()
@@ -193,7 +195,7 @@ def _run_trial(args: tuple) -> TrialRecord:
         seed=trial_seed,
         er=er,
         c0=conflict_ratio(x0),
-        c_inf=conflict_ratio(record.final_x),
+        c_inf=conflict_ratio(record.final_x) if record.absorbed else None,
         rho_link=link_density(x0),
         n_triad=count_triads(x0),
         steps=record.steps,
@@ -217,8 +219,9 @@ def run_study(
     per trial; at most one may be drawn.  The regressor follows from it:
     the initial conflict ratio when ``p_neg`` is drawn, the link density
     when ``p`` is drawn, the triangle count when both are fixed.  Trials
-    whose graph came out linkless have undefined ratios and are kept in the
-    records but excluded from the regression.
+    whose graph came out linkless, and censored trials, which stopped at
+    ``max_steps`` unabsorbed, have no ``c_inf``: they are kept in the
+    records, with an empty CSV cell, but left out of the regression.
     """
     if p is None and p_neg is None:
         raise ValueError("a study draws at most one of p and p_neg per trial")

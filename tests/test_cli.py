@@ -1201,22 +1201,35 @@ class TestReportWriter:
         for payload in payloads:
             assert _written(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
-    def test_analyze_reports(self, tmp_path, monkeypatch):
-        paths = []
-        for name, text in [("violations", ONE_NEGATIVE_TRIANGLE), ("clean", POSITIVE_TRIANGLE), ("mixed", MIXED_GRAPH)]:
-            paths.append(tmp_path / f"{name}.el")
-            paths[-1].write_text(text)
-        sign_symmetric = tmp_path / "split.el"
-        sign_symmetric.write_text("n 4\n1 2 -1\n2 1 -1\n2 3 1\n3 2 1\n3 4 -1\n4 3 -1\n")
-        payloads = self._payloads(
-            monkeypatch,
-            *(["analyze", "--input", str(path)] for path in paths),
-            ["analyze", "--input", str(sign_symmetric), "--all-cycles"],
-        )
-        assert payloads[0]["violations"] and payloads[0]["two_faction"] is None
-        assert not payloads[1]["violations"] and payloads[1]["two_faction"]["v1"] == [1, 2, 3]
-        assert payloads[3]["two_faction"]["v2"] and "all_cycles_positive" in payloads[3]
-        self._assert_written_as_json_dumps(payloads)
+    def test_analyze_reports(self, tmp_path, capsys):
+        # ``analyze`` writes its violation list by templates of its own, so
+        # each report is checked as text against json.dumps of what it parses to.
+        split = "n 4\n1 2 -1\n2 1 -1\n2 3 1\n3 2 1\n3 4 -1\n4 3 -1\n"
+        texts = [ONE_NEGATIVE_TRIANGLE, POSITIVE_TRIANGLE, MIXED_GRAPH, split, "n 5\n"]
+        both = {balance.ASYMMETRIC_PAIR, balance.NEGATIVE_TRIAD}
+        rng = random.Random(2713)
+        while len(texts) < 205:
+            x = random_matrix(rng, rng.randint(3, 10), rng.uniform(0.3, 0.9))
+            if {v.kind for v in balance.is_triad_wise_balanced(x)[1]} == both:
+                texts.append(graphs.format_edge_list(x))
+        reports = []
+        for index, text in enumerate(texts):
+            path, out = tmp_path / f"in{index}.el", tmp_path / f"out{index}.json"
+            path.write_text(text)
+            argv = ["analyze", "--input", str(path), "--out", str(out)]
+            assert main(argv + ["--all-cycles"] if text is split else argv) == EXIT_OK
+            stdout = capsys.readouterr().out
+            report = json.loads(stdout)
+            assert stdout == out.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            expected = [{"kind": v.kind, "nodes": list(v.nodes)} for v in balance.is_triad_wise_balanced(read_edge_list(path))[1]]
+            # As JSON text too, so that a node written as a bool or a float would not pass as an int.
+            assert report["violations"] == expected and json.dumps(report["violations"]) == json.dumps(expected)
+            reports.append(report)
+        assert reports[0]["violations"] and reports[0]["two_faction"] is None
+        assert not reports[1]["violations"] and reports[1]["two_faction"]["v1"] == [1, 2, 3]
+        assert reports[3]["two_faction"]["v2"] and "all_cycles_positive" in reports[3]
+        assert reports[1]["violations"] == reports[3]["violations"] == reports[4]["violations"] == []
+        assert reports[4]["n"] == 5 and reports[4]["link_density"] == 0
 
     def test_equivalence_reports(self, tmp_path, monkeypatch):
         square, triangle = tmp_path / "square.el", tmp_path / "triangle.el"

@@ -769,17 +769,17 @@ class TestRequireLegal:
         # Influence through k = i: the pair's own endpoint is no common neighbor.
         with pytest.raises(RuntimeError, match="common neighbor"):
             dynamics._constructive(
-                ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, y: (0, 1, INFLUENCE, 0, 1)
+                ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, up: (0, 1, INFLUENCE, 0, 1)
             )
 
     def test_constructive_sih_that_stops_short_raises(self):
         with pytest.raises(RuntimeError, match="ended unbalanced"):
-            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, y: None)
+            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, up: None)
 
     def test_constructive_sioh_that_stops_short_raises(self):
         x = symmetric(2, [(1, 2, -1)])
         with pytest.raises(RuntimeError, match="ended unaligned"):
-            dynamics._constructive(x, (1, 1), lambda enemies, adj, y: None)
+            dynamics._constructive(x, (1, 1), lambda enemies, adj, up: None)
 
 
 class TestPotentials:

@@ -311,6 +311,22 @@ class TestStudies:
         assert reg == linear_regression([x for x, _ in pairs], [y for _, y in pairs])
         assert reg.k is not None
 
+    def test_censored_trials_leave_the_regression(self, tmp_path):
+        # A censored run has no final state: its c_inf is None, its CSV cell
+        # empty, and only absorbed trials with links are regressed.
+        records, reg = run_study(8, 0.6, None, 40, master_seed=2727, max_steps=40)
+        censored = [r for r in records if not r.absorbed]
+        regressed = [r for r in records if r.absorbed and r.c0 is not None]
+        assert censored and len(regressed) >= 2
+        assert all(r.c_inf is None for r in censored)
+        assert reg == linear_regression([r.c0 for r in regressed], [r.c_inf for r in regressed])
+        assert reg.n_points == len(regressed)
+        export_csv(records, tmp_path / "t.csv")
+        with open(tmp_path / "t.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["c_inf"] == "" for row in rows] == [r.c_inf is None for r in records]
+        assert all(row["c_inf"] == "" and row["absorbed"] == "0" for row in rows if row["steps"] == "40")
+
     @pytest.mark.parametrize(
         "p, p_neg, builds",
         [(0.5, None, 12), (None, 0.3, 12), (0.5, 0.3, 0)],
