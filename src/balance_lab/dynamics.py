@@ -10,14 +10,15 @@ and person-opinion homophily with embedded SIH updates.
 
 Absorbing states coincide with triad-wise balance (SIH) and with
 sign-symmetric matrices whose links equal the opinion products (SIOH).
-Runs, single steps and constructive sequences each have one private body
-shared by both processes; an opinion vector, or None for SIH, tells them
-apart.  Runs and steps go through one private kernel that keeps Python-int
-bitsets beside the dense rows: common neighbors are a mask intersection,
-and the violation counts behind those structural tests are updated with
-popcounts after every change.  The definition-literal equilibrium checks,
-which simulate every possible update, confirm every absorbed result, one
-absorbed at step 0 included, and the end of every constructive sequence.
+Runs, single steps, constructive sequences and equilibrium checks each
+have one private body shared by both processes; an opinion vector, or None
+for SIH, tells them apart.  Runs and steps go through one private kernel
+that keeps Python-int bitsets beside the dense rows: common neighbors are a
+mask intersection, and the violation counts behind those structural tests
+are updated with popcounts after every change.  The definition-literal
+equilibrium checks, which simulate every possible update, confirm every
+absorbed result, one absorbed at step 0 included, and the end of every
+constructive sequence.
 A run can log one UpdateEvent per step, collected into its record or
 handed to a callable as it is drawn, or write each step's JSON line to a
 text stream.  For a stream the kernel assembles each line from per-run
@@ -27,10 +28,11 @@ flat however long the run.
 Deterministic constructive sequences reach absorption from any start by
 symmetrizing the zero pattern and then applying one legal fix at a time,
 each re-validated against the step preconditions, driving a
-count-of-negatives potential strictly down.  They read their pairs off the
-start matrix's sign masks and find each fix by a walk over the masks of
-the negative pairs, so F fixes cost O(F (n + m)) for m links; only the
-dense rows copy they update and the literal end check cost n^2.
+count-of-negatives potential strictly down; a fix past the potential's
+start value raises.  They keep their state only as sign masks, read their
+pairs off the start matrix's masks and find each fix by a walk over the
+masks of the negative pairs, so F fixes cost O(F (n + m)) for m links;
+only the literal end check costs n^2.
 """
 
 from __future__ import annotations
@@ -498,26 +500,56 @@ class _Kernel:
 
 
 def _equilibrium(x: AppraisalMatrix, y: Optional[tuple[int, ...]]) -> bool:
-    # The definition-literal check of the process: SIH for y None, else SIOH.
-    return is_sih_equilibrium(x) if y is None else is_sioh_equilibrium(SiohState(x, y))
+    """No possible update of the process changes (X, y): SIH for ``y`` None, else SIOH.
+
+    The definition-literal check behind ``is_sih_equilibrium`` and
+    ``is_sioh_equilibrium``: one pass over the candidate pairs simulates the
+    symmetry outcome and, for every common neighbor, the influence and
+    homophily outcomes; with opinions, also opinion gossip (y_i <- X_ij y_j)
+    and person-opinion homophily (X_ij <- y_i y_j).  A zero X_ij fails the
+    symmetry test, since symmetry copies the nonzero X_ji, so SIOH's forced
+    symmetry on a zero entry needs no test of its own.
+    """
+    rows, n = x.rows, x.n
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            if i == j or not (ri[j] or rows[j][i]):
+                continue
+            v = ri[j]
+            if rows[j][i] != v:
+                return False
+            if y is not None and (v * y[j] != y[i] or y[i] * y[j] != v):
+                return False
+            rj = rows[j]
+            for k in range(n):
+                if k != i and k != j and ri[k] and rj[k]:
+                    if ri[k] * rows[k][j] != v or ri[k] * rj[k] != v:
+                        return False
+    return True
 
 
-def _require_legal(rows, y, i, j, mechanism, k, new) -> None:
-    # Re-validate a constructed update against the step preconditions.  The
-    # opinion mechanisms exist only when the opinions ``y`` are given, and
-    # SIOH answers a zero X_ij with symmetry alone.
-    if not (rows[i][j] or rows[j][i]):
+def _require_legal(signs, up, i, j, mechanism, k, new) -> None:
+    # Re-validate a constructed update against the step preconditions, read
+    # off the ``(plus, minus)`` sign masks and the opinion mask ``up`` (bit a
+    # set when y_a is +1).  The opinion mechanisms exist only when ``up`` is
+    # given, and SIOH answers a zero X_ij with symmetry alone.
+    def x(a: int, b: int) -> int:
+        return (signs[0][a] >> b & 1) - (signs[1][a] >> b & 1)
+
+    if not (x(i, j) or x(j, i)):
         raise RuntimeError("illegal update: pair carries no link")
-    if y is not None and not rows[i][j] and mechanism != SYMMETRY:
+    if up is not None and not x(i, j) and mechanism != SYMMETRY:
         raise RuntimeError(f"illegal update: {mechanism} on a zero entry")
     if mechanism == SYMMETRY:
-        expected = rows[j][i]
+        expected = x(j, i)
     elif mechanism in (INFLUENCE, HOMOPHILY):
-        if k is None or k in (i, j) or not (rows[i][k] and rows[j][k]):
+        if k is None or k in (i, j) or not (x(i, k) and x(j, k)):
             raise RuntimeError("illegal update: invalid common neighbor")
-        expected = rows[i][k] * (rows[k][j] if mechanism == INFLUENCE else rows[j][k])
-    elif mechanism in (OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY) and y is not None:
-        expected = rows[i][j] * y[j] if mechanism == OPINION_GOSSIP else y[i] * y[j]
+        expected = x(i, k) * (x(k, j) if mechanism == INFLUENCE else x(j, k))
+    elif mechanism in (OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY) and up is not None:
+        yi, yj = (up >> i & 1) * 2 - 1, (up >> j & 1) * 2 - 1
+        expected = x(i, j) * yj if mechanism == OPINION_GOSSIP else yi * yj
     else:
         raise RuntimeError(f"illegal update: no mechanism {mechanism!r} in this process")
     if new != expected:
@@ -567,72 +599,71 @@ def _step(x, y, params, rng, step) -> tuple[AppraisalMatrix, Optional[tuple], Up
 def _constructive(x0, y0, next_fix) -> AbsorptionRecord:
     """The body of both constructive sequences (``y0`` None for SIH).
 
-    Every pair comes from a walk over sign masks, never from a scan of the
-    n^2 pairs.  Phase 1 copies the nonzero side of every half-directed pair
-    (symmetry), walking ``into & ~out`` row by row.  Phase 2 first flips the
-    minus side of every (-1, +1) pair (symmetry), walking
-    ``minus & in_plus``.  Neither walk creates work for the other, so both
-    are read off ``x0``'s masks up front.  The matrix is then
+    The state is kept only in the stored form of a matrix: ``plus`` and
+    ``minus``, lists of the sign masks, and ``up``, with bit a set when
+    y_a is +1 (None for SIH).  Every pair comes from a walk over sign masks,
+    never from a scan of the n^2 pairs.  Phase 1 copies the nonzero side of
+    every half-directed pair (symmetry), walking ``into & ~out`` row by row.
+    Phase 2 first flips the minus side of every (-1, +1) pair (symmetry),
+    walking ``minus & in_plus``.  Neither walk creates work for the other,
+    so both are read off ``x0``'s masks up front.  The matrix is then
     sign-symmetric: ``adj`` holds its links, which no later update changes,
-    and ``enemies`` its negative pairs, one mask per position; ``up`` has
-    bit a set when y_a is +1 (None for SIH), and only a gossip fix changes
-    it.  Phase 2 goes on with ``next_fix(enemies, adj, up)``, an update
-    ``(i, j, mechanism, k, new)``, until that returns None.  A fix that
-    flips X_ij of a (-1, -1) pair leaves (j, i) the only (-1, +1) pair, so
-    the symmetry flip of X_ji follows at once and the pair leaves
-    ``enemies``: every call sees a sign-symmetric matrix.  These are the
+    and ``minus`` its negative pairs.  Phase 2 goes on with
+    ``next_fix(minus, adj, up)``, an update ``(i, j, mechanism, k, new)``,
+    until that returns None.  A fix that flips X_ij of a (-1, -1) pair
+    leaves (j, i) the only (-1, +1) pair, so the symmetry flip of X_ji
+    follows at once: every call sees a sign-symmetric matrix.  These are the
     updates, in the same order, that a rescan for the first (-1, +1) pair
-    before each fix would make.  Every update is re-validated against the
-    step preconditions before it is recorded and written to the dense
-    ``rows`` copy, and the end state must pass the process's
-    definition-literal equilibrium check.
+    before each fix would make.  Each fix lowers the potential, the negative
+    entries plus the -1 opinions, so more fixes than its value at the start
+    of the fix loop raise.  Every update is re-validated against the step
+    preconditions before it is recorded and written to the masks, and the
+    end state must pass the process's definition-literal equilibrium check.
     """
-    rows = [list(r) for r in x0.rows]
-    y = None if y0 is None else list(y0)
-    labels = x0.labels
-    signs = list(zip(*x0._signs, *x0._incoming))
+    labels, n = x0.labels, x0.n
+    plus, minus = signs = [list(masks) for masks in x0._signs]
+    up = None if y0 is None else sum(1 << a for a, v in enumerate(y0) if v > 0)
     events: list[UpdateEvent] = []
 
     def apply(i: int, j: int, mech: str, k: Optional[int], new: int) -> None:
-        _require_legal(rows, y, i, j, mech, k, new)
-        gossip = mech == OPINION_GOSSIP
+        nonlocal up
+        _require_legal(signs, up, i, j, mech, k, new)
+        if mech == OPINION_GOSSIP:
+            old, up = (up >> i & 1) * 2 - 1, up & ~(1 << i) | (new > 0) << i
+        else:
+            old, bj = (plus[i] >> j & 1) - (minus[i] >> j & 1), 1 << j
+            plus[i], minus[i] = plus[i] & ~bj | (new > 0) << j, minus[i] & ~bj | (new < 0) << j
         events.append(
             UpdateEvent(
-                len(events), labels[i], labels[j], mech, None if k is None else labels[k],
-                y[i] if gossip else rows[i][j], new,
+                len(events), labels[i], labels[j], mech, None if k is None else labels[k], old, new
             )
         )
-        if gossip:
-            y[i] = new
-        else:
-            rows[i][j] = new
 
     # Per position: plus, minus, in_plus, in_minus.  Both phases' masks are
     # read before either applies an update.
+    quads = list(zip(*x0._signs, *x0._incoming))
     for phase in (
-        [(ip | im) & ~(p | m) for p, m, ip, im in signs],
-        [m & ip for p, m, ip, im in signs],
+        [(ip | im) & ~(p | m) for p, m, ip, im in quads],
+        [m & ip for p, m, ip, im in quads],
     ):
         for i, mask in enumerate(phase):
             for j in _positions(mask):
-                apply(i, j, SYMMETRY, None, rows[j][i])
+                apply(i, j, SYMMETRY, None, (plus[j] >> i & 1) - (minus[j] >> i & 1))
 
     adj = _skeleton_masks(x0)
-    enemies = [(m | im) & ~(p | ip) for p, m, ip, im in signs]
-    up = None if y is None else sum(1 << a for a, v in enumerate(y) if v > 0)
-    for i, j, mech, k, new in iter(lambda: next_fix(enemies, adj, up), None):
+    budget = sum(map(int.bit_count, minus)) + (0 if up is None else n - up.bit_count())
+    for i, j, mech, k, new in iter(lambda: next_fix(minus, adj, up), None):
+        if not budget:
+            raise RuntimeError("internal error: constructive fixes outlast their potential")
+        budget -= 1
         apply(i, j, mech, k, new)
-        if mech == OPINION_GOSSIP:
-            up = up | 1 << i if new > 0 else up & ~(1 << i)
-        else:
+        if mech != OPINION_GOSSIP:
             apply(j, i, SYMMETRY, None, new)
-            enemies[i] &= ~(1 << j)
-            enemies[j] &= ~(1 << i)
 
-    final_x = _freeze(rows, labels)
-    final_y = None if y is None else tuple(y)
+    final_x = AppraisalMatrix._make(labels, (tuple(plus), tuple(minus)))
+    final_y = None if up is None else tuple((up >> a & 1) * 2 - 1 for a in range(n))
     if not _equilibrium(final_x, final_y):
-        ended = "unbalanced" if y is None else "unaligned"
+        ended = "unbalanced" if up is None else "unaligned"
         raise RuntimeError(f"internal error: constructive sequence ended {ended}")
     return AbsorptionRecord(True, len(events), final_x, final_y, tuple(events))
 
@@ -666,22 +697,7 @@ def is_sih_equilibrium(x: AppraisalMatrix) -> bool:
     outcome and, for every common neighbor, the influence and homophily
     outcomes.  Coincides with triad-wise balance.
     """
-    rows = x.rows
-    n = x.n
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if i == j or not (ri[j] or rows[j][i]):
-                continue
-            v = ri[j]
-            if rows[j][i] != v:
-                return False
-            rj = rows[j]
-            for k in range(n):
-                if k != i and k != j and ri[k] and rj[k]:
-                    if ri[k] * rows[k][j] != v or ri[k] * rj[k] != v:
-                        return False
-    return True
+    return _equilibrium(x, None)
 
 
 def run_sih(
@@ -725,15 +741,15 @@ def constructive_sih_sequence(x0: AppraisalMatrix) -> AbsorptionRecord:
     return _constructive(x0, None, _sih_fix)
 
 
-def _sih_fix(enemies, adj, up):
+def _sih_fix(minus, adj, up):
     # On a sign-symmetric matrix: one direction of a negative pair whose
     # common neighbor has agreeing pair signs, flipped by homophily.  The
     # pair comes first in row-major order, then the lowest such neighbor.
     return next(
         (
             (i, j, HOMOPHILY, k, 1)
-            for i, j in _linked_pairs(enemies)
-            for k in _positions(adj[i] & adj[j] & ~(enemies[i] ^ enemies[j]))
+            for i, j in _linked_pairs(minus)
+            for k in _positions(adj[i] & adj[j] & ~(minus[i] ^ minus[j]))
         ),
         None,
     )
@@ -755,27 +771,12 @@ def sioh_step(
 def is_sioh_equilibrium(state: SiohState) -> bool:
     """No possible SIOH update changes the pair (X, y).
 
-    Literal check over every candidate pair of what SIOH adds: the forced
-    symmetry on a zero entry, and the gossip and person-opinion outcomes;
-    the embedded SIH outcomes are ``is_sih_equilibrium``'s.  Coincides with
+    Literal check: the pass of ``is_sih_equilibrium`` also simulates, on
+    every candidate pair, opinion gossip and person-opinion homophily; a
+    zero entry already fails its forced symmetry.  Coincides with
     sign-symmetric X whose links satisfy X_ij = y_i * y_j.
     """
-    rows = state.x.rows
-    y = state.y
-    n = state.x.n
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if i == j or not (ri[j] or rows[j][i]):
-                continue
-            v = ri[j]
-            # A zero entry takes symmetry alone, which copies the nonzero X_ji.
-            if v == 0:
-                return False
-            # Opinion gossip (y_i <- X_ij y_j), person-opinion homophily (X_ij <- y_i y_j).
-            if v * y[j] != y[i] or y[i] * y[j] != v:
-                return False
-    return is_sih_equilibrium(state.x)
+    return _equilibrium(state.x, state.y)
 
 
 def run_sioh(
@@ -807,7 +808,7 @@ def constructive_sioh_sequence(state0: SiohState) -> AbsorptionRecord:
     return _constructive(state0.x, state0.y, _sioh_fix)
 
 
-def _sioh_fix(enemies, adj, up):
+def _sioh_fix(minus, adj, up):
     # On a sign-symmetric matrix: a negative link between agreeing opinions,
     # by person-opinion homophily; else a positive link from a -1 toward a
     # +1 opinion, by gossip; each the first in row-major order.  ``up`` has
@@ -816,7 +817,7 @@ def _sioh_fix(enemies, adj, up):
     return next(
         (
             (i, j, PERSON_OPINION_HOMOPHILY, None, 1)
-            for i, mask in enumerate(enemies)
+            for i, mask in enumerate(minus)
             if mask
             for j in _positions(mask & (up if up >> i & 1 else down))
         ),
@@ -826,7 +827,7 @@ def _sioh_fix(enemies, adj, up):
             (i, j, OPINION_GOSSIP, None, 1)
             for i, mask in enumerate(adj)
             if mask and not up >> i & 1
-            for j in _positions(mask & ~enemies[i] & up)
+            for j in _positions(mask & ~minus[i] & up)
         ),
         None,
     )

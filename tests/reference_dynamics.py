@@ -24,7 +24,6 @@ from balance_lab.dynamics import (
     SiohState,
     UpdateEvent,
     _equilibrium,
-    _require_legal,
 )
 from balance_lab.graphs import AppraisalMatrix
 from balance_lab.rng import stream
@@ -300,7 +299,29 @@ def run_sioh(state0, params, seed, max_steps=10**6, log=False):
 
 
 # The dense constructive engine the mask walks replaced: it rescans every
-# ordered pair before each fix.
+# ordered pair before each fix, and checks each update on the dense rows.
+
+
+def _require_legal(rows, y, i, j, mechanism, k, new) -> None:
+    # Re-validate a constructed update against the step preconditions.  The
+    # opinion mechanisms exist only when the opinions ``y`` are given, and
+    # SIOH answers a zero X_ij with symmetry alone.
+    if not (rows[i][j] or rows[j][i]):
+        raise RuntimeError("illegal update: pair carries no link")
+    if y is not None and not rows[i][j] and mechanism != SYMMETRY:
+        raise RuntimeError(f"illegal update: {mechanism} on a zero entry")
+    if mechanism == SYMMETRY:
+        expected = rows[j][i]
+    elif mechanism in (INFLUENCE, HOMOPHILY):
+        if k is None or k in (i, j) or not (rows[i][k] and rows[j][k]):
+            raise RuntimeError("illegal update: invalid common neighbor")
+        expected = rows[i][k] * (rows[k][j] if mechanism == INFLUENCE else rows[j][k])
+    elif mechanism in (OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY) and y is not None:
+        expected = rows[i][j] * y[j] if mechanism == OPINION_GOSSIP else y[i] * y[j]
+    else:
+        raise RuntimeError(f"illegal update: no mechanism {mechanism!r} in this process")
+    if new != expected:
+        raise RuntimeError("illegal update: value does not match mechanism")
 
 
 def _constructive(x0, y0, next_fix) -> AbsorptionRecord:

@@ -31,6 +31,7 @@ from balance_lab.dynamics import (
     sih_step,
     sioh_step,
 )
+from balance_lab.experiments import conflict_ratio
 from balance_lab.graphs import AppraisalMatrix, induced_subgraph, is_bilateral, skeleton
 
 import reference_dynamics as ref
@@ -324,6 +325,24 @@ class TestRunSih:
             assert record.absorbed
             assert record.final_x.rows in absorbing
 
+    def test_all_negative_triangle_matches_the_exact_chain(self):
+        # The exact means of the 60-transient-state chain from the
+        # all-negative triangle under SihParams(), solved once with
+        # Fractions: E[steps] = 229/19 and E[c_inf] = 4077340/6763763.  Each
+        # sample mean over seeds 0..9999 must lie within 4 standard errors.
+        expected = {"steps": 229 / 19, "c_inf": 4077340 / 6763763}
+        samples = {"steps": [], "c_inf": []}
+        for seed in range(10_000):
+            record = run_sih(ALL_NEGATIVE_TRIANGLE, SihParams(), seed=seed)
+            assert record.absorbed
+            samples["steps"].append(record.steps)
+            samples["c_inf"].append(conflict_ratio(record.final_x))
+        for name, values in samples.items():
+            mean = sum(values) / len(values)
+            sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+            z = (mean - expected[name]) / (sd / math.sqrt(len(values)))
+            assert abs(z) < 4, (name, mean, z)
+
     def test_deterministic_given_seed(self):
         x0 = random_symmetric_matrix(random.Random(1), 6, p=0.6, p_neg=0.6)
         a = run_sih(x0, SihParams(), seed=99, log=True)
@@ -521,6 +540,40 @@ class TestSiohEquilibrium:
                     if a != b
                 )
                 assert is_sioh_equilibrium(state) == structural
+
+    def test_random_up_to_n8_matches_structural_form(self):
+        # 1,000 states aligned by construction, links X_ij = X_ji = y_i * y_j
+        # on a random pair set, each also checked with one entry or one
+        # opinion changed: 2,000 verdicts against the structural form.
+        rng = random.Random(2811)
+        verdicts = Counter()
+        for _ in range(1000):
+            n = rng.randrange(4, 9)
+            y = [rng.choice((-1, 1)) for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
+            p = rng.random()
+            for a, b in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    rows[a][b] = rows[b][a] = y[a] * y[b]
+            changed_rows, changed_y = [list(r) for r in rows], list(y)
+            if rng.random() < 0.5:
+                a, b = rng.sample(range(n), 2)
+                changed_rows[a][b] = rng.choice([v for v in (-1, 0, 1) if v != rows[a][b]])
+            else:
+                changed_y[rng.randrange(n)] *= -1
+            for r, yv in ((rows, y), (changed_rows, changed_y)):
+                structural = all(
+                    r[a][b] == r[b][a] and r[a][b] in (0, yv[a] * yv[b])
+                    for a in range(n)
+                    for b in range(n)
+                    if a != b
+                )
+                state = SiohState(AppraisalMatrix.from_rows(r), yv)
+                assert is_sioh_equilibrium(state) == structural
+                verdicts[structural] += 1
+        # Every aligned state holds; a change breaks alignment unless it
+        # flips the opinion of a node without links.
+        assert verdicts[True] >= 1000 and verdicts[False] > 500
 
 
 def sioh_reachable_absorbing(state0):
@@ -724,6 +777,12 @@ class TestRequireLegal:
 
     LINK = [[0, -1, 1], [-1, 0, 0], [1, 0, 0]]  # links {0, 1} and {0, 2} only
 
+    @staticmethod
+    def require_legal(rows, y, *update):
+        # The check reads the sign masks of ``rows`` and the mask of the +1 opinions.
+        up = None if y is None else sum(1 << a for a, v in enumerate(y) if v > 0)
+        dynamics._require_legal(AppraisalMatrix.from_rows(rows)._signs, up, *update)
+
     @pytest.mark.parametrize(
         "i, j, mechanism, k, new, y, match",
         [
@@ -740,7 +799,7 @@ class TestRequireLegal:
     )
     def test_illegal_update_raises(self, i, j, mechanism, k, new, y, match):
         with pytest.raises(RuntimeError, match=match):
-            dynamics._require_legal(self.LINK, y, i, j, mechanism, k, new)
+            self.require_legal(self.LINK, y, i, j, mechanism, k, new)
 
     @pytest.mark.parametrize("mechanism", [OPINION_GOSSIP, PERSON_OPINION_HOMOPHILY, INFLUENCE])
     def test_sioh_zero_entry_takes_only_symmetry(self, mechanism):
@@ -748,10 +807,10 @@ class TestRequireLegal:
         # even where SIH influence through node 2 would be legal.
         rows = [[0, 0, 1], [1, 0, 1], [1, 1, 0]]
         k = 2 if mechanism == INFLUENCE else None
-        dynamics._require_legal(rows, None, 0, 1, INFLUENCE, 2, 1)
-        dynamics._require_legal(rows, [1, 1, 1], 0, 1, SYMMETRY, None, 1)
+        self.require_legal(rows, None, 0, 1, INFLUENCE, 2, 1)
+        self.require_legal(rows, [1, 1, 1], 0, 1, SYMMETRY, None, 1)
         with pytest.raises(RuntimeError, match="zero entry"):
-            dynamics._require_legal(rows, [1, 1, 1], 0, 1, mechanism, k, 1)
+            self.require_legal(rows, [1, 1, 1], 0, 1, mechanism, k, 1)
 
     def test_legal_updates_pass(self):
         rows = [[0, -1, 1], [-1, 0, 1], [1, 1, 0]]
@@ -763,23 +822,32 @@ class TestRequireLegal:
             (0, 1, OPINION_GOSSIP, None, 1),
             (0, 1, PERSON_OPINION_HOMOPHILY, None, -1),
         ):
-            dynamics._require_legal(rows, y, *update)
+            self.require_legal(rows, y, *update)
 
     def test_constructive_refuses_an_illegal_fix(self):
         # Influence through k = i: the pair's own endpoint is no common neighbor.
         with pytest.raises(RuntimeError, match="common neighbor"):
             dynamics._constructive(
-                ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, up: (0, 1, INFLUENCE, 0, 1)
+                ALL_NEGATIVE_TRIANGLE, None, lambda minus, adj, up: (0, 1, INFLUENCE, 0, 1)
             )
 
     def test_constructive_sih_that_stops_short_raises(self):
         with pytest.raises(RuntimeError, match="ended unbalanced"):
-            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda enemies, adj, up: None)
+            dynamics._constructive(ALL_NEGATIVE_TRIANGLE, None, lambda minus, adj, up: None)
 
     def test_constructive_sioh_that_stops_short_raises(self):
         x = symmetric(2, [(1, 2, -1)])
         with pytest.raises(RuntimeError, match="ended unaligned"):
-            dynamics._constructive(x, (1, 1), lambda enemies, adj, up: None)
+            dynamics._constructive(x, (1, 1), lambda minus, adj, up: None)
+
+    def test_fixes_past_the_potential_raise(self):
+        # An aligned state has potential 0, so its first fix is one too many,
+        # even a legal no-op: gossip on a +1 link from a +1 toward a +1 node.
+        fixes = iter([(0, 1, OPINION_GOSSIP, None, 1)] * 1000)
+        with pytest.raises(RuntimeError, match="internal error: constructive fixes outlast"):
+            dynamics._constructive(
+                symmetric(2, [(1, 2, 1)]), (1, 1), lambda minus, adj, up: next(fixes, None)
+            )
 
 
 class TestPotentials:
