@@ -29,7 +29,6 @@ from .graphs import (
     _checked_replace,
     _default_labels,
     _linked_pairs,
-    _positions,
 )
 from .rng import derive_seed, stream
 
@@ -85,24 +84,44 @@ def gen_er_signed(params: ErParams, seed: int) -> AppraisalMatrix:
     """Draw a signed bilateral Erdos-Renyi appraisal matrix.
 
     Output is always bilateral (both directions created together) but may
-    be sign-asymmetric since each direction flips independently.
+    be sign-asymmetric since each direction flips independently.  The loop
+    that draws the signs also writes the views a study trial reads next:
+    ``rows`` and the incoming sign masks, and the link masks, where out and
+    in are one tuple since the output is bilateral.  The matrix is returned
+    holding them, equal to what it would build, so neither the run nor the
+    triad count builds them again.
     """
-    rng = stream(seed)
-    n = params.n
+    n, p, p_neg = params
+    draw = stream(seed).random
     out = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < params.p:
+            if draw() < p:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
     # One draw per link, row by row and column by column, as a dense scan makes them.
-    minus = [0] * n
-    for i in range(n):
-        for j in _positions(out[i]):
-            if rng.random() < params.p_neg:
-                minus[i] |= 1 << j
-    plus = tuple(map(xor, out, minus))
-    return AppraisalMatrix._make(_default_labels(n), (plus, tuple(minus)))
+    minus, in_minus, rows = [0] * n, [0] * n, []
+    for i, rest in enumerate(out):
+        row, bi = [0] * n, 1 << i
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if draw() < p_neg:
+                minus[i] |= low
+                in_minus[j] |= bi
+                row[j] = -1
+            else:
+                row[j] = 1
+        rows.append(tuple(row))
+    links = tuple(out)
+    x = AppraisalMatrix._make(_default_labels(n), (tuple(map(xor, links, minus)), tuple(minus)))
+    vars(x).update(
+        rows=tuple(rows),
+        _incoming=(tuple(map(xor, links, in_minus)), tuple(in_minus)),
+        _masks=(links, links),
+    )
+    return x
 
 
 def conflict_ratio(x: AppraisalMatrix) -> Optional[float]:

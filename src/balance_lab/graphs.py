@@ -10,10 +10,11 @@ Both graph types store bit masks per position, positions following the
 sorted node ids, and nothing else.  A matrix stores its sign masks, which
 the edge-list parser writes straight from its tokens and the checked
 constructor reads off the rows it checks; ``_link_masks`` is the one place
-where they are transposed.  A skeleton stores one neighbour mask per
-position.  Every other form, ``rows`` and ``edges`` included, is a view
-built once, on first use, and shared with every analysis.  ``_make``, each
-type's one unchecked constructor, takes the masks.
+where stored masks are transposed.  A skeleton stores one neighbour mask
+per position.  Every other form, ``rows`` and ``edges`` included, is a view
+built once, on first use, or handed over filled by the code that made the
+matrix, and shared with every analysis.  ``_make``, each type's one
+unchecked constructor, takes the masks.
 
 All types are immutable values after construction and safe to share across
 workers.
@@ -213,7 +214,9 @@ class AppraisalMatrix(_Graph):
     (``_incoming``) and the either-sign view (``_masks``) are built from them
     on first use, so the static analyses cost by links and triangles.
     ``rows``, the dense tuple of row tuples, is a view too, built only when
-    asked.  Construction from rows checks every entry as given, with C-level
+    asked.  Code that already holds a view as it makes a matrix through
+    ``_make`` may store it, equal to what the view would build: the
+    simulation kernel its final ``rows``, the random generator all three.  Construction from rows checks every entry as given, with C-level
     row operations, and stores only the masks: a value equal to -1, 0 or 1
     (``1.0``, ``True``) reads as that value, and any other (``1.5``, ``"1"``,
     ``nan``) is refused, never rounded.  Labels must be integers.

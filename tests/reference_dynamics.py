@@ -4,10 +4,13 @@ This is the simulation code the bitset kernel in ``balance_lab.dynamics``
 replaced: common neighbors come from a row scan, the violation ledgers
 rescan O(n) entries per write, and the step functions rebuild everything
 per call.  The dense constructive sequences below rescan every ordered
-pair before each fix; the library's mask walks replaced them.  It must not
-change.  ``tests/test_dynamics_kernel.py`` asserts that the kernel gives
-the same records and events on random inputs, and
-``tests/test_dynamics.py`` that the constructive sequences do.
+pair before each fix; the library's mask walks replaced them.  The dense
+definition-literal equilibrium check scans every ordered pair and, under
+each linked one, every third node; the library's check walks the links
+instead.  It must not change.  ``tests/test_dynamics_kernel.py`` asserts
+that the kernel gives the same records and events on random inputs, and
+``tests/test_dynamics.py`` that the constructive sequences and the
+equilibrium verdicts do.
 """
 
 from __future__ import annotations
@@ -23,10 +26,39 @@ from balance_lab.dynamics import (
     AbsorptionRecord,
     SiohState,
     UpdateEvent,
-    _equilibrium,
 )
 from balance_lab.graphs import AppraisalMatrix
 from balance_lab.rng import stream
+
+
+def _equilibrium(x: AppraisalMatrix, y: Optional[tuple[int, ...]]) -> bool:
+    """No possible update of the process changes (X, y): SIH for ``y`` None, else SIOH.
+
+    The definition-literal check behind ``is_sih_equilibrium`` and
+    ``is_sioh_equilibrium``: one pass over the candidate pairs simulates the
+    symmetry outcome and, for every common neighbor, the influence and
+    homophily outcomes; with opinions, also opinion gossip (y_i <- X_ij y_j)
+    and person-opinion homophily (X_ij <- y_i y_j).  A zero X_ij fails the
+    symmetry test, since symmetry copies the nonzero X_ji, so SIOH's forced
+    symmetry on a zero entry needs no test of its own.
+    """
+    rows, n = x.rows, x.n
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            if i == j or not (ri[j] or rows[j][i]):
+                continue
+            v = ri[j]
+            if rows[j][i] != v:
+                return False
+            if y is not None and (v * y[j] != y[i] or y[i] * y[j] != v):
+                return False
+            rj = rows[j]
+            for k in range(n):
+                if k != i and k != j and ri[k] and rj[k]:
+                    if ri[k] * rows[k][j] != v or ri[k] * rj[k] != v:
+                        return False
+    return True
 
 
 def _row_lists(x):

@@ -253,6 +253,79 @@ class TestSihEquilibrium:
             assert is_sih_equilibrium(x) == is_triad_wise_balanced(x)[0]
 
 
+def near_equilibrium_state(rng, n):
+    """A random (rows, opinions, labels), often absorbed for SIH or SIOH.
+
+    Half start from factions: sign-symmetric links, positive inside a faction
+    and negative across, with the faction signs as opinions on half of those.
+    The other half are arbitrary matrices.  Then, each with some chance: one
+    entry flipped, one link made one-way, some rows zeroed, gapped labels.
+    """
+    if rng.random() < 0.5:
+        side = [rng.choice((-1, 1)) for _ in range(n)]
+        p = rng.random()
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < p:
+                    rows[a][b] = rows[b][a] = side[a] * side[b]
+        y = tuple(side) if rng.random() < 0.5 else tuple(rng.choice((-1, 1)) for _ in range(n))
+    else:
+        rows = [list(r) for r in random_matrix(rng, n, p_nonzero=rng.random()).rows]
+        y = tuple(rng.choice((-1, 1)) for _ in range(n))
+    linked = [(a, b) for a in range(n) for b in range(n) if rows[a][b]]
+    if linked and rng.random() < 0.2:
+        a, b = rng.choice(linked)
+        rows[a][b] = -rows[a][b]
+    if linked and rng.random() < 0.2:
+        a, b = rng.choice(linked)
+        rows[a][b] = 0
+    if rng.random() < 0.2:
+        for a in rng.sample(range(n), rng.randrange(1, n + 1)):
+            rows[a] = [0] * n
+    labels = sorted(rng.sample(range(1, 4 * n), n)) if rng.random() < 0.5 else None
+    return rows, y, labels
+
+
+class TestEquilibriumMatchesReference:
+    """The link walk gives the verdicts of the dense scan it replaced.
+
+    ``reference_dynamics._equilibrium`` is the frozen dense check: every
+    ordered pair, and every third node under each linked pair.
+    """
+
+    def test_every_three_node_state(self):
+        cells = [(a, b) for a in range(3) for b in range(3) if a != b]
+        opinions = list(itertools.product((-1, 1), repeat=3))
+        verdicts = Counter()
+        for values in itertools.product((-1, 0, 1), repeat=6):
+            rows = [[0] * 3 for _ in range(3)]
+            for (a, b), v in zip(cells, values):
+                rows[a][b] = v
+            x = AppraisalMatrix.from_rows(rows)
+            got = is_sih_equilibrium(x)
+            assert got == ref._equilibrium(x, None), rows
+            verdicts["sih", got] += 1
+            for y in opinions:
+                got = is_sioh_equilibrium(SiohState(x, y))
+                assert got == ref._equilibrium(x, y), (rows, y)
+                verdicts["sioh", got] += 1
+        assert sum(verdicts.values()) == 729 + 5832
+        assert min(verdicts.values()) > 0, verdicts
+
+    def test_random_states(self):
+        rng = random.Random(3030)
+        verdicts = Counter()
+        for case in range(2000):
+            rows, y, labels = near_equilibrium_state(rng, rng.randrange(2, 13))
+            x = AppraisalMatrix.from_rows(rows, labels)
+            got = is_sih_equilibrium(x), is_sioh_equilibrium(SiohState(x, y))
+            assert got == (ref._equilibrium(x, None), ref._equilibrium(x, y)), (case, rows, y)
+            verdicts.update(zip(("sih", "sioh"), got))
+        # Both verdicts are common for both processes, so neither side is vacuous.
+        assert min(verdicts.values()) >= 200, verdicts
+
+
 def reachable_absorbing_states(x0):
     """Oracle: BFS over every legal update outcome of the whole chain."""
     n = x0.n

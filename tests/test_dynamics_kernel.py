@@ -27,6 +27,8 @@ import pytest
 import reference_dynamics as ref
 from balance_lab.dynamics import (
     _BLOCK,
+    _NTH8,
+    _POP8,
     _TAILS,
     HOMOPHILY,
     INFLUENCE,
@@ -73,12 +75,13 @@ def random_opinions(rng, n):
 STREAM = "stream"  # log mode: hand each event to a callable
 
 
-def cases(seed, count):
+def cases(seed, count, sizes=(2, 11), steps=(1, 2, 7, 60, 20_000)):
+    """Random (rng, case, x0, max_steps, log) with n in ``range(*sizes)``."""
     rng = random.Random(seed)
     for case in range(count):
-        n = rng.randrange(2, 11)
+        n = rng.randrange(*sizes)
         x0 = random_input(rng, n)
-        max_steps = rng.choice((1, 2, 7, 60, 20_000))
+        max_steps = rng.choice(steps)
         u = rng.random()
         yield rng, case, x0, max_steps, False if u < 1 / 3 else True if u < 2 / 3 else STREAM
 
@@ -109,6 +112,35 @@ def test_run_sioh_matches_reference():
         state0 = SiohState(x0, random_opinions(rng, x0.n))
         got, want = run_both(run_sioh, ref.run_sioh, state0, params, case, max_steps, log)
         assert got == want, (case, x0.rows, state0.y, params, max_steps, log)
+
+
+# Past one byte: the common-neighbour pick skips whole bytes of the mask, and
+# from n = 31 on a mask is more than one 30-bit digit of a Python int.
+WIDE = {"sizes": (17, 41), "steps": (1, 60, 700, 2000)}
+
+
+def test_run_sih_matches_reference_past_one_byte():
+    for rng, case, x0, max_steps, log in cases(303, 40, **WIDE):
+        params = rng.choice(SIH_WEIGHTS)
+        got, want = run_both(run_sih, ref.run_sih, x0, params, case, max_steps, log)
+        assert got == want, (case, x0.rows, params, max_steps, log)
+
+
+def test_run_sioh_matches_reference_past_one_byte():
+    for rng, case, x0, max_steps, log in cases(404, 40, **WIDE):
+        params = rng.choice(SIOH_WEIGHTS)
+        state0 = SiohState(x0, random_opinions(rng, x0.n))
+        got, want = run_both(run_sioh, ref.run_sioh, state0, params, case, max_steps, log)
+        assert got == want, (case, x0.rows, state0.y, params, max_steps, log)
+
+
+def test_pick_tables():
+    assert isinstance(_POP8, bytes) and isinstance(_NTH8, bytes)
+    assert len(_POP8) == 256 and len(_NTH8) == 8 * 256
+    for b in range(256):
+        assert _POP8[b] == b.bit_count()
+        bits = [a for a in range(8) if b >> a & 1]
+        assert [_NTH8[8 * b + d] for d in range(len(bits))] == bits, b
 
 
 @pytest.mark.parametrize("engine", ["sih", "sioh"])

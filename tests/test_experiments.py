@@ -98,6 +98,22 @@ class TestGenErSigned:
             x = gen_er_signed(params, seed)
             assert x == AppraisalMatrix.from_rows(rows) and x.rows == tuple(map(tuple, rows))
 
+    def test_handed_over_views_are_exact(self):
+        # The generator stores rows, the incoming sign masks and the link
+        # masks it drew; each must equal the view a cold matrix builds from
+        # the same sign masks, and storing them changes no value semantics.
+        seed = 0
+        for n in range(2, 13):
+            for p in (0, 0.3, 1):
+                for p_neg in (0, 0.3, 1):
+                    seed += 1
+                    x = gen_er_signed(ErParams(n, p, p_neg), seed)
+                    assert {"rows", "_incoming", "_masks"} <= vars(x).keys()
+                    cold = AppraisalMatrix._make(x.labels, x._signs)
+                    assert x == cold and cold == x and hash(x) == hash(cold) and len({x, cold}) == 1
+                    assert (x.rows, x._incoming, x._masks) == (cold.rows, cold._incoming, cold._masks)
+                    assert repr(x) == repr(cold)
+
 
 class TestMetrics:
     def test_conflict_ratio_extremes(self):
